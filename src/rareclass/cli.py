@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import sys
 import time
 
@@ -30,6 +31,19 @@ class UsageError(ValueError):
 
 def _atomic_write(path: str, payload: str) -> None:
     recognizer._atomic_write(path, payload)
+
+
+# one encoder for every predict line: building one per call costs ~20% per line
+_STRICT_JSON = json.JSONEncoder(allow_nan=False)
+
+
+def _dumps(obj, **kwargs) -> str:
+    """Strict JSON: a non-finite number is a numeric failure, never a bare NaN or Infinity."""
+    encoder = json.JSONEncoder(allow_nan=False, **kwargs) if kwargs else _STRICT_JSON
+    try:
+        return encoder.encode(obj)
+    except ValueError as exc:
+        raise FloatingPointError(f"cannot write non-finite value as JSON: {exc}") from exc
 
 
 def _default_seed() -> int:
@@ -87,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--words-csv", default=None, help="also export ranked word lists as CSV")
     add_common(p)
 
-    p = sub.add_parser("bench", help="time fit at n, 2n, 4n")
+    p = sub.add_parser("bench", help="time fit at n, 2n, 4n on one BLAS thread")
     p.add_argument("--out", default=None)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--d", type=int, default=200)
@@ -199,7 +213,7 @@ def cmd_predict(args) -> int:
                 raise CorpusError(f"line {lineno}: invalid json ({exc.msg})") from exc
     X = model.featurize(records)
     decisions, _ = recognizer.predict_stream(model, list(X))
-    out = "".join(json.dumps(d.to_json(index=i)) + "\n" for i, d in enumerate(decisions))
+    out = "".join(_dumps(d.to_json(index=i)) + "\n" for i, d in enumerate(decisions))
     if args.out:
         _atomic_write(args.out, out)
     else:
@@ -219,7 +233,7 @@ def cmd_evaluate(args) -> int:
         representation=rep_name, pca_rank=pca_rank,
         reject_method=_reject_method(args), q=args.q,
         config_echo=_effective_config(args))
-    payload = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    payload = _dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     if args.out:
         _atomic_write(args.out, payload)
     sys.stdout.write(report.to_text())
@@ -238,15 +252,26 @@ def cmd_coverage(args) -> int:
     report = cov.coverage_report(sol, program)
     report["config"] = _effective_config(args)
     if args.out:
-        _atomic_write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _atomic_write(args.out, _dumps(cov.report_for_json(report), indent=2, sort_keys=True) + "\n")
     if args.words_csv:
         _atomic_write(args.words_csv, cov.report_words_csv(report))
     sys.stdout.write(cov.report_text(report))
     return EXIT_OK
 
 
-def bench_timings(n: int, d: int, K: int, iters: int, mu: float, seed: int) -> list[dict]:
-    """Wall time of fit at n, 2n, 4n with d, K, iteration count fixed."""
+_SINGLE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_BENCH_CHILD = """
+import pickle, sys
+from rareclass.cli import _bench_fits
+try:
+    result = _bench_fits(*pickle.load(sys.stdin.buffer))
+except Exception as exc:
+    result = exc
+pickle.dump(result, sys.stdout.buffer)
+"""
+
+
+def _bench_fits(n: int, d: int, K: int, iters: int, mu: float, seed: int) -> list[dict]:
     timings = []
     for mult in (1, 2, 4):
         cfg = SyntheticConfig(d=d, K_total=K + 1, docs_per_subclass=max(n * mult // (2 * K), 4),
@@ -265,11 +290,35 @@ def bench_timings(n: int, d: int, K: int, iters: int, mu: float, seed: int) -> l
     return timings
 
 
+def bench_timings(n: int, d: int, K: int, iters: int, mu: float, seed: int) -> list[dict]:
+    """Wall time of fit at n, 2n, 4n with d, K, iteration count fixed.
+
+    The three fits run in one child interpreter with a single BLAS/OpenMP
+    thread, so the ratios between sizes measure how the fit scales rather than
+    the point at which a multithreaded BLAS starts a second thread.
+    """
+    import subprocess                    # only bench starts a child; other commands skip the import
+
+    env = dict(os.environ, **{name: "1" for name in _SINGLE_THREAD})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _BENCH_CHILD],
+                          input=pickle.dumps((n, d, K, iters, mu, seed)),
+                          stdout=subprocess.PIPE, env=env)
+    if proc.returncode != 0:
+        raise RuntimeError(f"bench child exited with status {proc.returncode}")
+    # the child pickles its timings, or the exception it raised, for this process
+    result = pickle.loads(proc.stdout)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def cmd_bench(args) -> int:
     timings = bench_timings(args.n, args.d, args.k, args.iters, args.mu, args.seed)
     ratios = [timings[i + 1]["seconds"] / timings[i]["seconds"] for i in range(len(timings) - 1)]
     payload = {"timings": timings, "ratios": ratios, "config": _effective_config(args)}
-    text = json.dumps(payload, indent=2) + "\n"
+    text = _dumps(payload, indent=2) + "\n"
     if args.out:
         _atomic_write(args.out, text)
     sys.stdout.write(text)

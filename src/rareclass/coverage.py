@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from dataclasses import dataclass
 
@@ -348,6 +349,17 @@ def coverage_report(sol: CoverSolution, p: CoverProgram) -> dict:
         },
         "subclasses": subclasses,
     }
+
+
+def report_for_json(report: dict) -> dict:
+    """The report with each infinite ratio (a word with no cross coverage)
+    as None, so it is written as null; the ranking is left as it is."""
+    def words(entries: list[dict]) -> list[dict]:
+        return [{**e, "ratio": e["ratio"] if math.isfinite(e["ratio"]) else None}
+                for e in entries]
+    return {**report,
+            "general": {**report["general"], "words": words(report["general"]["words"])},
+            "subclasses": [{**sc, "words": words(sc["words"])} for sc in report["subclasses"]]}
 
 
 def report_text(report: dict) -> str:

@@ -21,54 +21,61 @@ class StaleCacheError(ObjectiveError):
 GRAM_BUILD_COUNT = 0
 
 
-@dataclass
 class ModelParams:
-    w0: np.ndarray                  # length d
-    b0: float
-    W: np.ndarray                   # K x d, row k-1 is w_k
-    b: np.ndarray                   # length K
+    """The GC and the K SCs as one (K+1) x (d+1) array ``theta``: row 0 is
+    (w0, b0), row k is (w_k, b_k). Its row-major ravel is the flat layout
+    (w0, b0, w1, b1, ..., wK, bK); w0, b0, W and b are views of it."""
 
-    def __post_init__(self):
-        self.w0 = np.asarray(self.w0, dtype=np.float64)
-        self.W = np.asarray(self.W, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if not (np.all(np.isfinite(self.w0)) and np.isfinite(self.b0)
-                and np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.b))):
+    __slots__ = ("theta", "w0", "W", "b")
+
+    def __init__(self, w0, b0, W, b):
+        w0 = np.asarray(w0, dtype=np.float64)
+        W = np.asarray(W, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        if w0.ndim != 1 or b.ndim != 1 or (W.size and W.shape != (len(b), len(w0))):
+            raise ObjectiveError(
+                f"parameter shapes w0 {w0.shape}, W {W.shape}, b {b.shape} do not fit together")
+        d, K = len(w0), len(b)
+        theta = np.empty((K + 1, d + 1))
+        theta[0, :d], theta[0, d] = w0, b0
+        theta[1:, :d], theta[1:, d] = W.reshape(K, d), b
+        self._set(theta)
+
+    def _set(self, theta: np.ndarray) -> None:
+        if not np.all(np.isfinite(theta)):
             raise ObjectiveError("non-finite parameter entries")
+        # views made once: per-item prediction reads them for every input
+        self.theta = theta
+        self.w0, self.W, self.b = theta[0, :-1], theta[1:, :-1], theta[1:, -1]
+
+    @property
+    def b0(self) -> float:
+        return float(self.theta[0, -1])
 
     @property
     def d(self) -> int:
-        return len(self.w0)
+        return self.theta.shape[1] - 1
 
     @property
     def K(self) -> int:
-        return self.W.shape[0]
+        return self.theta.shape[0] - 1
 
     @classmethod
     def zeros(cls, d: int, K: int) -> "ModelParams":
-        return cls(w0=np.zeros(d), b0=0.0, W=np.zeros((K, d)), b=np.zeros(K))
+        return cls.from_flat(np.zeros((K + 1) * (d + 1)), d, K)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(w0=self.w0.copy(), b0=self.b0, W=self.W.copy(), b=self.b.copy())
+        return ModelParams.from_flat(self.theta, self.d, self.K)
 
     def flat(self) -> np.ndarray:
         """Concatenate as (w0, b0, w1, b1, ..., wK, bK)."""
-        parts = [self.w0, [self.b0]]
-        for k in range(self.K):
-            parts += [self.W[k], [self.b[k]]]
-        return np.concatenate([np.asarray(p, dtype=np.float64) for p in parts])
+        return self.theta.flatten()
 
     @classmethod
     def from_flat(cls, theta: np.ndarray, d: int, K: int) -> "ModelParams":
-        w0, b0 = theta[:d], float(theta[d])
-        W = np.empty((K, d))
-        b = np.empty(K)
-        off = d + 1
-        for k in range(K):
-            W[k] = theta[off:off + d]
-            b[k] = theta[off + d]
-            off += d + 1
-        return cls(w0=w0.copy(), b0=b0, W=W, b=b)
+        params = cls.__new__(cls)
+        params._set(np.array(theta, dtype=np.float64).reshape(K + 1, d + 1))
+        return params
 
 
 @dataclass(frozen=True)
@@ -170,11 +177,12 @@ def hinge(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(np.sum(np.maximum(0.0, 1.0 - labels * scores)))
 
 
-def _penalty(params: ModelParams, mu: float, g2: np.ndarray) -> float:
+def _penalty(W: np.ndarray, mu: float, g2: np.ndarray) -> float:
+    """The correlation penalty of the weight rows W (row 0 is w0, row k is w_k)."""
     if mu == 0.0:
         return 0.0
-    a0 = params.w0 ** 2
-    Ak = params.W ** 2                       # K x d
+    a0 = W[0] ** 2
+    Ak = W[1:] ** 2                          # K x d
     g2a0 = g2 @ a0
     self0 = 0.5 * float(a0 @ g2a0)
     selfk = 0.5 * float(np.sum(Ak * (Ak @ g2.T)))
@@ -182,17 +190,52 @@ def _penalty(params: ModelParams, mu: float, g2: np.ndarray) -> float:
     return 0.5 * mu * (self0 + selfk + cross)
 
 
+def _loss(theta: np.ndarray, data: BoundData, hp: Hyperparams, g2: np.ndarray) -> float:
+    """total_loss on the (K+1) x (d+1) parameter array, without the Gram check."""
+    W, b = theta[:, :-1], theta[:, -1]
+    loss = hinge(data.X @ W[0] + b[0], data.y_all)
+    loss += 0.5 * hp.lambda0 * float(W[0] @ W[0])
+    for k in range(data.K):
+        loss += hinge(data.R @ W[k + 1] + b[k + 1], data.Yk[k])
+        loss += 0.5 * hp.lambdaK[k] * float(W[k + 1] @ W[k + 1])
+    return loss + _penalty(W, hp.mu, g2)
+
+
 def total_loss(params: ModelParams, data: BoundData, hp: Hyperparams,
                gram: GramCache) -> float:
     """The joint objective: GC hinge over all rows, SC hinges over rare rows,
     ridge terms, and the correlation penalty weighted by the squared Gram."""
     gram.check(data.X)
-    loss = hinge(data.X @ params.w0 + params.b0, data.y_all)
-    loss += 0.5 * hp.lambda0 * float(params.w0 @ params.w0)
-    for k in range(data.K):
-        loss += hinge(data.R @ params.W[k] + params.b[k], data.Yk[k])
-        loss += 0.5 * hp.lambdaK[k] * float(params.W[k] @ params.W[k])
-    return loss + _penalty(params, hp.mu, gram.g2)
+    return _loss(params.theta, data, hp, gram.g2)
+
+
+def _grad(theta: np.ndarray, hp: Hyperparams, g2: np.ndarray, X: np.ndarray,
+          y: np.ndarray, R: np.ndarray, Yk: np.ndarray,
+          gc_scale: float = 1.0, sc_scale: float = 1.0) -> np.ndarray:
+    """Joint subgradient, laid out like theta, without the Gram check.
+
+    The GC hinge is summed over the rows of X and each SC hinge over the rows
+    of R, times gc_scale and sc_scale; the ridge and penalty terms are exact.
+    On the full data with unit scales this is grad_w0, grad_wk and grad_bias
+    in one pass; on a minibatch the scales map the batch sums to full sums.
+    """
+    W, b = theta[:, :-1], theta[:, -1]
+    grad = np.empty_like(theta)
+    # subgradient 0 at the kink: strict ">" in the margin-violation indicator
+    c0 = -y * ((1.0 - y * (X @ W[0] + b[0])) > 0.0)
+    grad[0, :-1] = gc_scale * (X.T @ c0)
+    grad[0, -1] = gc_scale * float(np.sum(c0))
+    for k in range(1, len(theta)):
+        # one product per subclass, as in grad_wk, so mu=0 fits decouple exactly
+        ck = -Yk[k - 1] * ((1.0 - Yk[k - 1] * (R @ W[k] + b[k])) > 0.0)
+        grad[k, :-1] = sc_scale * (R.T @ ck)
+        grad[k, -1] = sc_scale * float(np.sum(ck))
+    sq = W ** 2
+    coupled = sq + sq[0]                     # row k: w_k^2 + w0^2
+    coupled[0] = sq.sum(axis=0)              # row 0: w0^2 + sum_k w_k^2
+    ridge = np.concatenate(([hp.lambda0], hp.lambdaK))
+    grad[:, :-1] += W * (ridge[:, None] + hp.mu * (coupled @ g2.T))
+    return grad
 
 
 def _hinge_grad_w(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
@@ -238,7 +281,7 @@ def grad_bias(which: int, params: ModelParams, data: BoundData) -> float:
 
 def penalty_only(params: ModelParams, mu: float, gram: GramCache) -> float:
     """The correlation penalty term alone (used by Hessian verification)."""
-    return _penalty(params, mu, gram.g2)
+    return _penalty(params.theta[:, :-1], mu, gram.g2)
 
 
 def penalty_hessian(params: ModelParams, mu: float, gram: GramCache) -> np.ndarray:

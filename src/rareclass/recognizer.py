@@ -167,7 +167,11 @@ def save(model: ModelDocument, path) -> None:
         "vocab": model.vocab.to_json() if model.vocab is not None else None,
         "projection": model.projection.to_json() if model.projection is not None else None,
     }
-    _atomic_write(path, json.dumps(doc))
+    try:
+        payload = json.dumps(doc, allow_nan=False)
+    except ValueError as exc:
+        raise ModelDocumentError(f"model document has a non-finite value: {exc}") from exc
+    _atomic_write(path, payload)
 
 
 def load(path) -> ModelDocument:

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objective import (
-    BoundData, GramCache, Hyperparams, ModelParams, ObjectiveError,
-    grad_bias, grad_w0, grad_wk, gram_squared, total_loss,
+    BoundData, GramCache, Hyperparams, ModelParams, ObjectiveError, _grad, _loss,
+    gram_squared,
 )
 
 
@@ -56,56 +56,27 @@ def default_step_size(hp: Hyperparams, gram: GramCache) -> float:
     return 1.0 / (hp.lambda0 + hp.mu * float(np.max(np.diag(gram.g2))) + 1e-12)
 
 
-def _joint_grad(params: ModelParams, data: BoundData, hp: Hyperparams,
-                gram: GramCache) -> ModelParams:
-    gw0 = grad_w0(params, data, hp, gram)
-    gb0 = grad_bias(0, params, data)
-    gW = np.empty_like(params.W)
-    gb = np.empty(data.K)
-    for k in range(1, data.K + 1):
-        gW[k - 1] = grad_wk(k, params, data, hp, gram)
-        gb[k - 1] = grad_bias(k, params, data)
-    return ModelParams(w0=gw0, b0=gb0, W=gW, b=gb)
+def _batch_view(data: BoundData, rng: np.random.Generator, m: int,
+                rare_pos: np.ndarray):
+    """Sample a size-m batch; return (X_b, y_b, R_b, Yk_b, gc_scale, sc_scale).
 
-
-def _batch_view(data: BoundData, rng: np.random.Generator, m: int):
-    """Sample a size-m batch; return (X_b, y_b, gc_scale, R_b, Yk_b, sc_scale)."""
+    rare_pos maps a row of X to its row in R; the scales map the batch's hinge
+    sums back to full-data sums (sc_scale is 0 when the batch has no rare row).
+    """
     idx = np.sort(rng.choice(data.n, size=m, replace=False))
-    rare = idx[data.y_all[idx] > 0]
-    # map full-data rare indices into rare-row positions
-    rare_pos = np.cumsum(data.y_all > 0) - 1
-    rpos = rare_pos[rare].astype(int)
+    rpos = rare_pos[idx[data.y_all[idx] > 0]]
     gc_scale = data.n / m
     sc_scale = data.n0 / len(rpos) if len(rpos) else 0.0
-    return (data.X[idx], data.y_all[idx], gc_scale,
-            data.R[rpos], data.Yk[:, rpos], sc_scale)
-
-
-def _batch_grad(params: ModelParams, data: BoundData, hp: Hyperparams,
-                gram: GramCache, rng: np.random.Generator, m: int) -> ModelParams:
-    # hinge terms estimated from the batch; penalty/ridge terms exact
-    Xb, yb, gc_scale, Rb, Ykb, sc_scale = _batch_view(data, rng, m)
-    a_sum = (params.W ** 2).sum(axis=0)
-    active0 = (1.0 - yb * (Xb @ params.w0 + params.b0)) > 0.0
-    gw0 = gc_scale * (Xb.T @ (-yb * active0))
-    gw0 += params.w0 * (hp.lambda0 + hp.mu * (gram.g2 @ (a_sum + params.w0 ** 2)))
-    gb0 = gc_scale * float(np.sum(-yb * active0))
-    gW = np.empty_like(params.W)
-    gb = np.empty(data.K)
-    for k in range(data.K):
-        yk = Ykb[k]
-        active = (1.0 - yk * (Rb @ params.W[k] + params.b[k])) > 0.0
-        gW[k] = sc_scale * (Rb.T @ (-yk * active))
-        gW[k] += params.W[k] * (hp.lambdaK[k] + hp.mu * (gram.g2 @ (params.W[k] ** 2 + params.w0 ** 2)))
-        gb[k] = sc_scale * float(np.sum(-yk * active))
-    return ModelParams(w0=gw0, b0=gb0, W=gW, b=gb)
+    return (data.X[idx], data.y_all[idx], data.R[rpos], data.Yk[:, rpos],
+            gc_scale, sc_scale)
 
 
 def fit(data: BoundData, hp: Hyperparams, cfg: TrainConfig = TrainConfig(),
         gram: GramCache | None = None) -> TrainedModel:
     """Nesterov-accelerated subgradient descent on the joint parameter block.
 
-    The squared Gram is built once up front and reused every iteration. Returns
+    The squared Gram is built once up front, or checked against X once when
+    given, and reused every iteration. Returns
     the best-recorded iterate, since subgradient steps are not monotone. With
     cfg.batch set, hinge subgradients are estimated from seeded random batches
     (scaled back to full sums); the penalty terms stay exact.
@@ -121,10 +92,12 @@ def fit(data: BoundData, hp: Hyperparams, cfg: TrainConfig = TrainConfig(),
         raise ValueError(f"batch size {m} outside 1..{data.n}")
 
     d, K = data.d, data.K
-    theta = ModelParams.zeros(d, K).flat()
+    full = (data.X, data.y_all, data.R, data.Yk)
+    rare_pos = np.cumsum(data.y_all > 0) - 1
+    theta = np.zeros((K + 1, d + 1))
     velocity = np.zeros_like(theta)
     best_loss = np.inf
-    best_theta = theta.copy()
+    best_theta = theta
     loss_trace: list[float] = []
     iterates: list[ModelParams] | None = [] if cfg.track_iterates else None
     initial_loss = None
@@ -133,20 +106,18 @@ def fit(data: BoundData, hp: Hyperparams, cfg: TrainConfig = TrainConfig(),
 
     for it in range(cfg.max_iters):
         eta = step0 if cfg.step_decay == "fixed" else step0 / np.sqrt(1.0 + it)
-        lookahead = ModelParams.from_flat(theta + cfg.momentum * velocity, d, K)
-        if m is None:
-            g = _joint_grad(lookahead, data, hp, gram)
-        else:
-            g = _batch_grad(lookahead, data, hp, gram, rng, m)
-        velocity = cfg.momentum * velocity - eta * g.flat()
+        rows = full if m is None else _batch_view(data, rng, m, rare_pos)
+        g = _grad(theta + cfg.momentum * velocity, hp, gram.g2, *rows)
+        velocity = cfg.momentum * velocity - eta * g
         theta = theta + velocity
         iters_run = it + 1
+        if not np.all(np.isfinite(theta)):
+            raise ObjectiveError("non-finite parameter entries")
 
-        params = ModelParams.from_flat(theta, d, K)
-        loss = total_loss(params, data, hp, gram)
+        loss = _loss(theta, data, hp, gram.g2)
         loss_trace.append(loss)
         if iterates is not None:
-            iterates.append(params.copy())
+            iterates.append(ModelParams.from_flat(theta, d, K))
         if initial_loss is None:
             initial_loss = max(loss, 1e-12)
         if loss > 1e6 * initial_loss:
@@ -154,9 +125,9 @@ def fit(data: BoundData, hp: Hyperparams, cfg: TrainConfig = TrainConfig(),
                 f"loss {loss:.3e} exceeded 1e6x initial {initial_loss:.3e} at iter {it}")
         if loss < best_loss:
             best_loss = loss
-            best_theta = theta.copy()
+            best_theta = theta
         if cfg.log_every and (it + 1) % cfg.log_every == 0:
-            gnorm = float(np.linalg.norm(g.flat()))
+            gnorm = float(np.linalg.norm(g))
             print(f"iter={it + 1} loss={loss:.6g} grad_norm={gnorm:.6g}", file=sys.stderr)
         if len(loss_trace) > 10:
             window = loss_trace[-11:]
@@ -169,10 +140,3 @@ def fit(data: BoundData, hp: Hyperparams, cfg: TrainConfig = TrainConfig(),
                         loss_trace=loss_trace, converged=converged,
                         iters_run=iters_run, gram=gram, iterates=iterates)
 
-
-def fit_minibatch(data: BoundData, hp: Hyperparams, cfg: TrainConfig,
-                  gram: GramCache | None = None) -> TrainedModel:
-    """fit with cfg.batch required; kept as a named entry point."""
-    if cfg.batch is None:
-        raise ValueError("fit_minibatch requires cfg.batch")
-    return fit(data, hp, cfg, gram=gram)

@@ -10,6 +10,10 @@ from rareclass.dataset import SyntheticConfig, gen_synthetic, save_corpus
 from rareclass.recognizer import load
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 @pytest.fixture
 def synth_file(tmp_path):
     corpus = gen_synthetic(SyntheticConfig(
@@ -92,6 +96,20 @@ class TestTrainPredict:
         assert json.loads(out.read_text())["verdict"]
 
 
+    def test_non_finite_score_is_numeric_error(self, tmp_path, synth_file, capsys):
+        # a NaN feature gives a NaN score, which strict JSON cannot carry
+        model = str(tmp_path / "m.json")
+        assert main(["train", "--input", synth_file, "--rep", "raw", "--iters", "20",
+                     "--out", model]) == EXIT_OK
+        stream = tmp_path / "s.jsonl"
+        stream.write_text('{"features": [0, 0, 0, 0, 0, 0]}\n'
+                          '{"features": [0, NaN, 0, 0, 0, 0]}\n')
+        out = tmp_path / "d.jsonl"
+        rc = main(["predict", "--model", model, "--input", str(stream), "--out", str(out)])
+        assert rc == EXIT_NUMERIC and not out.exists()
+        assert "non-finite" in capsys.readouterr().err
+
+
 class TestEvaluate:
     def test_deterministic_reports(self, tmp_path, synth_file):
         out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
@@ -147,6 +165,16 @@ class TestCoverage:
         report = json.loads(open(out).read())
         assert "general" in report and len(report["subclasses"]) == 2
         assert open(csv_out).readline().startswith("set,term")
+
+    def test_no_cross_coverage_ratio_written_as_null(self, tmp_path, text_file):
+        # "flood" and "fire" each occur in one subclass only: their ratio is infinite
+        out = str(tmp_path / "cov.json")
+        rc = main(["coverage", "--input", text_file, "--solver", "greedy",
+                   "--top-n", "12", "--out", out])
+        assert rc == EXIT_OK
+        report = json.loads(open(out).read(), parse_constant=_reject_constant)
+        ratios = [e["ratio"] for sc in report["subclasses"] for e in sc["words"]]
+        assert None in ratios
 
     def test_exact_solver(self, tmp_path, text_file):
         out = str(tmp_path / "cov.json")

@@ -4,7 +4,7 @@ import pytest
 from conftest import joint_grad_flat, make_instance, numeric_grad, params_off_kink
 from rareclass.objective import (
     BoundData, GramCache, Hyperparams, ModelParams, ObjectiveError, StaleCacheError,
-    bind_data, grad_bias, grad_w0, grad_wk, gram_squared, hinge, identity_gram,
+    _grad, bind_data, grad_bias, grad_w0, grad_wk, gram_squared, hinge, identity_gram,
     penalty_hessian, penalty_only, total_loss,
 )
 
@@ -226,6 +226,75 @@ class TestGradients:
         gram = gram_squared(data.X)
         with pytest.raises(ObjectiveError):
             grad_wk(3, ModelParams.zeros(data.d, 2), data, Hyperparams.uniform(2), gram)
+
+
+def kernel_flat(p, data, hp, gram):
+    return _grad(p.theta, hp, gram.g2, data.X, data.y_all, data.R, data.Yk).ravel()
+
+
+def rel_err(a, b):
+    return float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), 1e-300)
+
+
+class TestFusedKernel:
+    """The trainer's one-pass gradient against the per-block reference."""
+
+    @pytest.mark.parametrize("K", [0, 1, 3])
+    @pytest.mark.parametrize("mu", [0.0, 0.7, 3.0])
+    def test_matches_reference_on_random_instances(self, K, mu):
+        rng = np.random.default_rng(30 + K)
+        for _ in range(10):
+            n, d = int(rng.integers(K + 2, 30)), int(rng.integers(1, 9))
+            if K == 0:
+                data = bind_data(rng.standard_normal((n, d)), rng.random(n) < 0.4,
+                                 np.zeros(n, dtype=int))
+            else:
+                data = make_instance(rng, n=n, d=d, K=K)
+            hp = Hyperparams(lambda0=float(rng.uniform(0, 2)),
+                             lambdaK=rng.uniform(0, 2, K), mu=mu)
+            gram = gram_squared(data.X)
+            p = ModelParams(w0=rng.standard_normal(d), b0=float(rng.standard_normal()),
+                            W=rng.standard_normal((K, d)), b=rng.standard_normal(K))
+            assert data.K == K
+            assert rel_err(kernel_flat(p, data, hp, gram),
+                           joint_grad_flat(p, data, hp, gram)) <= 1e-12
+
+    def test_rows_on_the_hinge_kink(self):
+        # integer features and weights keep every margin exact; each bias puts
+        # the first row of its hinge exactly at margin 1, where ">" is inactive
+        rng = np.random.default_rng(33)
+        X = rng.integers(-3, 4, size=(16, 4)).astype(float)
+        rare = np.arange(16) < 8
+        data = bind_data(X, rare, np.where(rare, 1 + np.arange(16) % 2, 0))
+        w = rng.integers(-2, 3, size=(3, 4)).astype(float)
+        b0 = data.y_all[0] - X[0] @ w[0]
+        b = [data.Yk[k, 0] - data.R[0] @ w[k + 1] for k in range(2)]
+        p = ModelParams(w0=w[0], b0=b0, W=w[1:], b=b)
+        assert data.y_all[0] * (X[0] @ p.w0 + p.b0) == 1.0
+        assert all(data.Yk[k, 0] * (data.R[0] @ p.W[k] + p.b[k]) == 1.0 for k in range(2))
+        gram = gram_squared(X)
+        for mu in (0.0, 1.5):
+            hp = Hyperparams.uniform(2, lambda0=0.3, lambdak=0.8, mu=mu)
+            assert rel_err(kernel_flat(p, data, hp, gram),
+                           joint_grad_flat(p, data, hp, gram)) <= 1e-12
+
+    def test_flat_layout_is_row_major_parameter_array(self):
+        rng = np.random.default_rng(34)
+        p = ModelParams(w0=rng.standard_normal(3), b0=0.5,
+                        W=rng.standard_normal((2, 3)), b=np.array([1.5, 2.5]))
+        expected = np.concatenate([p.w0, [p.b0], p.W[0], [p.b[0]], p.W[1], [p.b[1]]])
+        assert np.array_equal(p.flat(), expected)
+        assert np.array_equal(p.theta.ravel(), expected)
+        back = ModelParams.from_flat(expected, 3, 2)
+        assert np.array_equal(back.theta, p.theta) and back.theta is not p.theta
+
+    def test_bad_shapes_and_non_finite_entries_rejected(self):
+        with pytest.raises(ObjectiveError):
+            ModelParams(w0=np.zeros(3), b0=0.0, W=np.zeros((2, 3)), b=np.zeros(1))
+        with pytest.raises(ObjectiveError):
+            ModelParams(w0=np.zeros(3), b0=np.nan, W=np.zeros((1, 3)), b=np.zeros(1))
+        with pytest.raises(ObjectiveError):
+            ModelParams.from_flat(np.full(8, np.inf), 3, 1)
 
 
 class TestPenaltyHessian:

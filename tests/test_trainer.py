@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import decorrelation_instance, mean_abs_cosine
+from conftest import (
+    decorrelation_instance, joint_grad_flat, make_instance, mean_abs_cosine, numeric_grad,
+    params_off_kink,
+)
 from rareclass.dataset import RARE, SyntheticConfig, gen_synthetic
-from rareclass.objective import Hyperparams, bind_data, total_loss
-from rareclass.trainer import DivergenceError, TrainConfig, fit, fit_minibatch
+from rareclass.objective import (
+    BoundData, GramCache, Hyperparams, ModelParams, StaleCacheError, _grad, bind_data,
+    gram_squared, hinge, penalty_only, total_loss,
+)
+from rareclass.trainer import DivergenceError, TrainConfig, _batch_view, fit
 
 
 def synthetic_bound_data(seed=0, d=2, K=2, per=20, majority=40, sep=8.0, noise=0.5):
@@ -105,7 +111,7 @@ class TestMinibatch:
         cfg_batch = TrainConfig(max_iters=40, seed=9, tol=1e-15, batch=data.n,
                                 track_iterates=True)
         full = fit(data, hp, cfg_full)
-        batched = fit_minibatch(data, hp, cfg_batch)
+        batched = fit(data, hp, cfg_batch)
         for a, b in zip(full.iterates, batched.iterates):
             assert np.array_equal(a.flat(), b.flat())
 
@@ -113,8 +119,8 @@ class TestMinibatch:
         data = synthetic_bound_data(seed=9)
         hp = Hyperparams.uniform(2, mu=0.5)
         cfg = TrainConfig(max_iters=30, seed=11, tol=1e-15, batch=16)
-        a = fit_minibatch(data, hp, cfg)
-        b = fit_minibatch(data, hp, cfg)
+        a = fit(data, hp, cfg)
+        b = fit(data, hp, cfg)
         assert np.array_equal(a.params.flat(), b.params.flat())
         assert a.loss_trace == b.loss_trace
 
@@ -123,9 +129,8 @@ class TestMinibatch:
         hp = Hyperparams.uniform(2, lambda0=0.1, lambdak=0.1, mu=0.0)
         full = fit(data, hp, TrainConfig(max_iters=400, seed=12, tol=1e-15,
                                          step_size=0.01))
-        mini = fit_minibatch(data, hp, TrainConfig(max_iters=400, seed=12,
-                                                   tol=1e-15, step_size=0.01,
-                                                   batch=32))
+        mini = fit(data, hp, TrainConfig(max_iters=400, seed=12,
+                                         tol=1e-15, step_size=0.01, batch=32))
         l_full = total_loss(full.params, data, hp, full.gram)
         l_mini = total_loss(mini.params, data, hp, full.gram)
         assert l_mini <= 1.25 * l_full
@@ -134,8 +139,101 @@ class TestMinibatch:
         data = synthetic_bound_data(seed=11)
         with pytest.raises(ValueError):
             fit(data, Hyperparams.uniform(2), TrainConfig(batch=0))
-        with pytest.raises(ValueError):
-            fit_minibatch(data, Hyperparams.uniform(2), TrainConfig(batch=None))
+
+
+def hinge_only_grad(p, data):
+    """Reference hinge subgradient alone: every ridge and penalty weight zero."""
+    zero = Hyperparams(lambda0=0.0, lambdaK=np.zeros(data.K), mu=0.0)
+    return joint_grad_flat(p, data, zero, gram_squared(data.X)).reshape(data.K + 1, -1)
+
+
+def batch_of(view):
+    Xb, yb, Rb, Ykb, _, _ = view
+    return BoundData(X=Xb, y_all=yb, R=Rb, Yk=Ykb)
+
+
+class TestMinibatchGradient:
+    """The minibatch estimate is the fused kernel on the batch rows with scale factors."""
+
+    def _check_against_reference(self, data, hp, view):
+        gram = gram_squared(data.X)
+        rng = np.random.default_rng(1)
+        p = ModelParams(w0=rng.standard_normal(data.d), b0=0.3,
+                        W=rng.standard_normal((data.K, data.d)), b=rng.standard_normal(data.K))
+        *rows, gc_scale, sc_scale = view
+        scales = np.array([gc_scale] + [sc_scale] * data.K)[:, None]
+        exact = (joint_grad_flat(p, data, hp, gram).reshape(data.K + 1, -1)
+                 - hinge_only_grad(p, data))
+        expected = scales * hinge_only_grad(p, batch_of(view)) + exact
+        got = _grad(p.theta, hp, gram.g2, *rows, gc_scale, sc_scale)
+        err = float(np.max(np.abs(got - expected))) / float(np.max(np.abs(expected)))
+        assert err <= 1e-12
+
+    def test_matches_scaled_reference(self):
+        rng = np.random.default_rng(40)
+        data = make_instance(rng, n=30, d=5, K=3)
+        rare_pos = np.cumsum(data.y_all > 0) - 1
+        view = _batch_view(data, np.random.default_rng(2), 12, rare_pos)
+        assert view[4] == 30 / 12 and view[5] == data.n0 / len(view[2])
+        self._check_against_reference(data, Hyperparams.uniform(3, mu=0.8), view)
+
+    def test_batch_without_rare_rows(self):
+        rng = np.random.default_rng(41)
+        data = make_instance(rng, n=40, d=4, K=2, rare_frac=0.05)
+        rare_pos = np.cumsum(data.y_all > 0) - 1
+        batch_rng = np.random.default_rng(3)
+        for _ in range(200):
+            view = _batch_view(data, batch_rng, 3, rare_pos)
+            if len(view[2]) == 0:
+                break
+        assert len(view[2]) == 0 and view[5] == 0.0
+        self._check_against_reference(data, Hyperparams.uniform(2, mu=1.2), view)
+
+    def test_finite_differences_of_batch_loss(self):
+        rng = np.random.default_rng(43)
+        data = make_instance(rng, n=30, d=5, K=2)
+        gram = gram_squared(data.X)
+        hp = Hyperparams.uniform(2, lambda0=0.7, lambdak=1.3, mu=0.5)
+        view = _batch_view(data, np.random.default_rng(4), 12,
+                           np.cumsum(data.y_all > 0) - 1)
+        Xb, yb, Rb, Ykb, gc_scale, sc_scale = view
+        assert len(Rb) and sc_scale > 0
+        p = params_off_kink(rng, batch_of(view))
+
+        def batch_loss(t):
+            q = ModelParams.from_flat(t, data.d, data.K)
+            loss = gc_scale * hinge(Xb @ q.w0 + q.b0, yb) + 0.5 * hp.lambda0 * q.w0 @ q.w0
+            for k in range(data.K):
+                loss += sc_scale * hinge(Rb @ q.W[k] + q.b[k], Ykb[k])
+                loss += 0.5 * hp.lambdaK[k] * q.W[k] @ q.W[k]
+            return loss + penalty_only(q, hp.mu, gram)
+
+        ana = _grad(p.theta, hp, gram.g2, *view)
+        assert np.all(ana[:, -1] != 0)       # every scale factor reaches a bias
+        ana = ana.ravel()
+        num = numeric_grad(batch_loss, p.flat())
+        scale = np.maximum(np.abs(num), 1e-3 * np.abs(num).max())
+        assert np.max(np.abs(ana - num) / scale) < 1e-5
+
+
+class TestCacheCheck:
+    @pytest.mark.parametrize("batch", [None, 8])
+    def test_one_check_per_fit(self, monkeypatch, batch):
+        data = synthetic_bound_data(seed=12)
+        gram = gram_squared(data.X)
+        calls = []
+        check = GramCache.check
+        monkeypatch.setattr(GramCache, "check",
+                            lambda cache, X: calls.append(1) or check(cache, X))
+        fit(data, Hyperparams.uniform(2), TrainConfig(max_iters=25, tol=1e-15, batch=batch),
+            gram=gram)
+        assert len(calls) == 1
+
+    def test_stale_cache_rejected_before_training(self):
+        data = synthetic_bound_data(seed=13)
+        with pytest.raises(StaleCacheError):
+            fit(data, Hyperparams.uniform(2), TrainConfig(max_iters=5),
+                gram=gram_squared(data.X + 1.0))
 
 
 class TestConfigValidation:
