@@ -217,7 +217,7 @@ def run_single(corpus: LabeledCorpus, hp_template: dict, cfg: trainer.TrainConfi
         subclass_names=tuple(names[k - 1] for k in seen_sorted),
         vocab=vocab, projection=proj)
 
-    decisions, _ = recognizer.predict_stream(doc, list(Xte))
+    decisions, _ = recognizer.predict_stream(doc, Xte)
     metrics = top_level_metrics(decisions, split)
     subclass_of = {i: remap.get(corpus.docs[i].subclass or 0, 0)
                    for i in split.test_seen}

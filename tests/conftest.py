@@ -40,6 +40,33 @@ def joint_grad_flat(p, data, hp, gram):
         b=np.array([grad_bias(k, p, data) for k in range(1, data.K + 1)])).flat()
 
 
+def route_per_item(model, X):
+    """The per-item routing loop the batched recognizer replaced, kept as the
+    reference it is compared against: (decisions, stats) for the rows of X."""
+    from rareclass.recognizer import EMERGING, KNOWN, MAJORITY, Decision, StreamStats
+    from rareclass.rejection import accepts
+    p = model.params
+    stats, decisions = StreamStats(), []
+    for x in X:
+        gc_score = float(p.w0 @ x + p.b0)
+        if gc_score <= 0:
+            stats.majority += 1
+            decisions.append(Decision(MAJORITY, None, gc_score, None))
+            continue
+        sc_scores = p.W @ x + p.b
+        stats.sc_evaluations += 1
+        accepting = [k for k in range(1, model.K + 1)
+                     if accepts(model.thresholds, k, float(sc_scores[k - 1]))]
+        if not accepting:
+            stats.emerging += 1
+            decisions.append(Decision(EMERGING, None, gc_score, sc_scores))
+            continue
+        best = min(accepting, key=lambda k: (-sc_scores[k - 1], k))
+        stats.known[best] = stats.known.get(best, 0) + 1
+        decisions.append(Decision(KNOWN, best, gc_score, sc_scores))
+    return decisions, stats
+
+
 def numeric_grad(loss_fn, theta, eps=1e-6):
     g = np.zeros_like(theta)
     for i in range(len(theta)):

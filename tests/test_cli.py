@@ -1,13 +1,21 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rareclass import cli
 from rareclass.cli import (
     EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, bench_timings, build_parser, main,
 )
 from rareclass.dataset import SyntheticConfig, gen_synthetic, save_corpus
-from rareclass.recognizer import load
+from rareclass.objective import ModelParams
+from rareclass.recognizer import (
+    EMERGING, KNOWN, MAJORITY, Decision, ModelDocument, load, predict_stream, save,
+)
+from rareclass.rejection import PERCENTILE, RejectionThresholds
 
 
 def _reject_constant(name):
@@ -108,6 +116,162 @@ class TestTrainPredict:
         rc = main(["predict", "--model", model, "--input", str(stream), "--out", str(out)])
         assert rc == EXIT_NUMERIC and not out.exists()
         assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.fixture
+def integer_model(tmp_path):
+    """Raw d=3, K=2 model with integer weights: gc = x0 + x1 - 1, sc1 = x1,
+    sc2 = x2, both thresholds 1. Integer features give exact scores."""
+    doc = ModelDocument(
+        version=1, d=3, K=2,
+        params=ModelParams(w0=[1.0, 1.0, 0.0], b0=-1.0,
+                           W=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], b=[0.0, 0.0]),
+        thresholds=RejectionThresholds(t=np.array([1.0, 1.0]), method=PERCENTILE, q=0.05),
+        representation={"kind": "raw"}, subclass_names=("a", "b"))
+    path = tmp_path / "int_model.json"
+    save(doc, path)
+    return str(path)
+
+
+def _features_stream(path, rows):
+    path.write_text("".join(json.dumps({"features": r}) + "\n" for r in rows))
+    return str(path)
+
+
+def _stats_line(err):
+    lines = [l for l in err.splitlines() if l.startswith("predict ")]
+    assert len(lines) == 1
+    return dict(field.split("=") for field in lines[0].split()[1:])
+
+
+class TestDecisionLine:
+    @pytest.mark.parametrize("gc", [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 2.0, -3.0,
+                                    1.0, 0.1, 1 / 3, 1e16, 1e-7, 123456789.0, 2.5e-310])
+    @pytest.mark.parametrize("verdict, subclass", [(MAJORITY, None), (KNOWN, 3), (EMERGING, None)])
+    def test_bytes_match_json_encoder(self, gc, verdict, subclass):
+        d = Decision(verdict, subclass, gc, None)
+        assert cli._decision_line(17, d) == cli._dumps(d.to_json(index=17)) + "\n"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 10 ** 9),
+           st.integers(1, 50))
+    def test_bytes_match_for_any_finite_score(self, gc, index, k):
+        for d in (Decision(MAJORITY, None, gc, None), Decision(KNOWN, k, gc, None)):
+            assert cli._decision_line(index, d) == cli._dumps(d.to_json(index=index)) + "\n"
+
+    def test_numpy_float_score(self):
+        d = Decision(KNOWN, 2, np.float64(0.25), None)
+        assert cli._decision_line(0, d) == cli._dumps(d.to_json(index=0)) + "\n"
+
+    @pytest.mark.parametrize("gc", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_refused(self, gc):
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            cli._decision_line(0, Decision(EMERGING, None, gc, None))
+
+
+class TestPredictStreaming:
+    @pytest.mark.parametrize("bad, message", [
+        ('{"features": [1, 2]}', "feature dimension 2 != model d 3"),
+        ('{"features": [1, [2, 3], 4]}', "non-numeric"),
+        ('{"features": [1, "2", 3]}', "non-numeric"),
+        ('{"features": [1, null, 3]}', "non-numeric"),
+        ('{"features": [1, true, 3]}', "non-numeric"),
+        ('{"features": 7}', "not a list"),
+        ('{"features": "1,2,3"}', "not a list"),
+        ('[1, 2, 3]', "not a JSON object"),
+        ('{"text": "hello"}', "requires 'features'"),
+        ('{"features": [1, 2, 3]', "invalid json"),
+    ])
+    def test_bad_record_is_data_error_naming_its_line(self, tmp_path, integer_model, capsys,
+                                                      bad, message):
+        stream = tmp_path / "s.jsonl"
+        # blank lines count in line numbers: the bad record is on line 4
+        stream.write_text('{"features": [1, 1, 1]}\n\n{"features": [2, 0, 0]}\n' + bad + "\n"
+                          + '{"features": [0, 0, 0]}\n')
+        out = tmp_path / "d.jsonl"
+        rc = main(["predict", "--model", integer_model, "--input", str(stream),
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert "line 4: " in err and message in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["int_model.json", "s.jsonl"]
+
+    def test_all_majority_stream_across_chunks(self, tmp_path, integer_model, capsys,
+                                               monkeypatch):
+        rows = [[-i, 0, i] for i in range(8)]
+        stream = _features_stream(tmp_path / "s.jsonl", rows)
+        assert main(["predict", "--model", integer_model, "--input", stream]) == EXIT_OK
+        whole = capsys.readouterr().out
+        monkeypatch.setattr(cli, "PREDICT_CHUNK", 3)
+        assert main(["predict", "--model", integer_model, "--input", stream]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == whole
+        decisions = [json.loads(l) for l in whole.splitlines()]
+        assert [d["index"] for d in decisions] == list(range(8))
+        assert all(d["verdict"] == MAJORITY for d in decisions)
+        assert _stats_line(captured.err)["sc_evaluations"] == "0"
+
+    def test_mixed_stream_across_chunks(self, tmp_path, text_file, capsys, monkeypatch):
+        model_path = str(tmp_path / "model.json")
+        assert main(["train", "--input", text_file, "--rep", "tfidf1k", "--iters", "100",
+                     "--reject", "percentile", "--out", model_path]) == EXIT_OK
+        model = load(model_path)
+        rng = np.random.default_rng(2)
+        texts = [json.loads(l)["text"] for l in open(text_file)]
+        records = []
+        for i, text in enumerate(texts):
+            records.append({"text": text})
+            if i % 3 == 0:
+                records.append({"features": (rng.standard_normal(model.d) * 0.5).tolist()})
+        stream = tmp_path / "s.jsonl"
+        stream.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+        outputs = []
+        for chunk in (cli.PREDICT_CHUNK, 3):
+            monkeypatch.setattr(cli, "PREDICT_CHUNK", chunk)
+            assert main(["predict", "--model", model_path, "--input", str(stream)]) == EXIT_OK
+            outputs.append(capsys.readouterr().out.splitlines(keepends=True))
+        assert outputs[0] == outputs[1]
+        # each record routed on its own: features when it has them, else its text
+        expected = [predict_stream(model, model.featurize([r]))[0][0] for r in records]
+        assert outputs[0] == [cli._dumps(d.to_json(index=i)) + "\n"
+                              for i, d in enumerate(expected)]
+
+    def test_stats_line_reconciles_with_decisions(self, tmp_path, integer_model, capsys,
+                                                  monkeypatch):
+        rng = np.random.default_rng(3)
+        rows = rng.integers(-2, 4, size=(40, 3)).tolist()
+        stream = _features_stream(tmp_path / "s.jsonl", rows)
+        out = tmp_path / "d.jsonl"
+        monkeypatch.setattr(cli, "PREDICT_CHUNK", 7)
+        assert main(["predict", "--model", integer_model, "--input", stream,
+                     "--out", str(out)]) == EXIT_OK
+        stats = _stats_line(capsys.readouterr().err)
+        decisions = [json.loads(l) for l in out.read_text().splitlines()]
+        counts = {v: sum(d["verdict"] == v for d in decisions) for v in (MAJORITY, KNOWN, EMERGING)}
+        assert int(stats["items"]) == len(decisions) == 40
+        assert int(stats["majority"]) == counts[MAJORITY]
+        assert int(stats["known"]) == counts[KNOWN]
+        assert int(stats["emerging"]) == counts[EMERGING]
+        assert int(stats["sc_evaluations"]) == counts[KNOWN] + counts[EMERGING]
+        assert min(counts.values()) > 0
+        assert float(stats["seconds"]) > 0 and float(stats["items_per_s"]) > 0
+
+    def test_error_in_a_later_chunk(self, tmp_path, integer_model, capsys, monkeypatch):
+        stream = tmp_path / "s.jsonl"
+        stream.write_text('{"features": [1, 1, 1]}\n' * 4 + '{"features": [1]}\n')
+        monkeypatch.setattr(cli, "PREDICT_CHUNK", 2)
+        out = tmp_path / "d.jsonl"
+        assert main(["predict", "--model", integer_model, "--input", str(stream),
+                     "--out", str(out)]) == EXIT_DATA
+        assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+        capsys.readouterr()
+        # on stdout the chunks routed before the error are already written
+        assert main(["predict", "--model", integer_model, "--input", str(stream)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 4
+        assert "line 5: " in captured.err
+        assert not re.search(r"^predict ", captured.err, re.M)
 
 
 class TestEvaluate:

@@ -1,14 +1,18 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from conftest import route_per_item
 from rareclass.featurize import build_vocab, pca_fit
 from rareclass.objective import ModelParams
 from rareclass.recognizer import (
     EMERGING, KNOWN, MAJORITY, Decision, ModelDocument, ModelDocumentError,
-    StreamStats, load, predict, predict_stream, save,
+    StreamStats, load, predict, predict_batch, predict_stream, save,
 )
 from rareclass.rejection import PERCENTILE, RejectionThresholds
 
@@ -133,6 +137,111 @@ class TestPredictStream:
             predict_stream(gate_model, stream)
 
 
+def assert_same_routing(got, want):
+    """Decision lists equal field by field, NaN equal to NaN."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.verdict, g.subclass) == (w.verdict, w.subclass)
+        assert g.gc_score == w.gc_score or (math.isnan(g.gc_score) and math.isnan(w.gc_score))
+        if w.sc_scores is None:
+            assert g.sc_scores is None
+        else:
+            assert np.array_equal(g.sc_scores, w.sc_scores, equal_nan=True)
+
+
+small_ints = st.integers(-3, 3).map(float)
+
+
+@st.composite
+def integer_instances(draw):
+    """A model and a chunk whose entries are small integers: every score is
+    then exact in float64, so a batched product must equal the per-item one
+    bit for bit, and scores land exactly on thresholds, on ties and on 0."""
+    d, K, n = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 80))
+    model = make_model(w0=draw(arrays(np.float64, d, elements=small_ints)),
+                       b0=draw(small_ints),
+                       W=draw(arrays(np.float64, (K, d), elements=small_ints)),
+                       b=draw(arrays(np.float64, K, elements=small_ints)),
+                       thresholds=draw(arrays(np.float64, K, elements=st.integers(-4, 4).map(float))))
+    return model, draw(arrays(np.float64, (n, d), elements=small_ints))
+
+
+# (model, rows) for the boundary cases of the routing rule
+EDGE_CASES = {
+    "score exactly at threshold": (
+        make_model(w0=[1.0, 0.0], b0=0.0, W=[[0.0, 1.0], [0.0, 2.0]], b=[0.0, 0.0],
+                   thresholds=[2.0, 4.0]),
+        [[1.0, 2.0], [1.0, 1.5], [1.0, 2.5], [1.0, 1.0]]),
+    "tie between accepting SCs": (
+        make_model(w0=[1.0, 0.0], b0=0.0, W=[[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]],
+                   b=[0.0, 0.0, 0.0], thresholds=[5.0, 0.0, 0.0]),
+        [[1.0, 3.0], [1.0, 7.0]]),
+    "gc exactly 0": (
+        make_model(w0=[1.0, -1.0], b0=0.0, W=[[0.0, 1.0]], b=[0.0], thresholds=[0.0]),
+        [[2.0, 2.0], [0.0, 0.0], [3.0, 2.0]]),
+    "K=1": (
+        make_model(w0=[1.0], b0=-1.0, W=[[1.0]], b=[-2.0], thresholds=[0.0]),
+        [[0.0], [1.0], [1.5], [2.0], [3.0]]),
+    "all majority": (
+        make_model(w0=[1.0, 1.0], b0=-100.0, W=[[1.0, 0.0], [0.0, 1.0]], b=[0.0, 0.0],
+                   thresholds=[0.0, 0.0]),
+        [[3.0, -2.0], [1.0, 1.0], [0.0, 0.0]]),
+    "NaN row": (
+        make_model(w0=[1.0, 0.0], b0=0.0, W=[[0.0, 1.0], [0.0, -1.0]], b=[0.0, 0.0],
+                   thresholds=[0.0, 0.0]),
+        [[1.0, 2.0], [math.nan, 1.0], [-1.0, 0.0]]),
+}
+
+
+class TestBatchedRouting:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(integer_instances(), st.integers(1, 80))
+    def test_matches_per_item_loop(self, instance, cut):
+        model, X = instance
+        want, want_stats = route_per_item(model, X)
+        got, got_stats = predict_stream(model, X)
+        assert_same_routing(got, want)
+        assert got_stats == want_stats
+        # routing must not depend on where the stream is cut into chunks
+        stats = StreamStats()
+        assert_same_routing(predict_batch(model, X[:cut], stats)
+                            + predict_batch(model, X[cut:], stats), want)
+        assert stats == want_stats
+        assert_same_routing([predict(model, x) for x in X], want)
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_edge_cases_match_per_item_loop(self, case):
+        model, rows = EDGE_CASES[case]
+        X = np.array(rows)
+        want, want_stats = route_per_item(model, X)
+        got, got_stats = predict_stream(model, X)
+        assert_same_routing(got, want)
+        assert got_stats == want_stats
+        assert got_stats.sc_evaluations == sum(d.verdict != MAJORITY for d in got)
+
+    def test_nan_row_is_never_majority_or_known(self):
+        model, rows = EDGE_CASES["NaN row"]
+        dec = predict_stream(model, np.array(rows))[0][1]
+        assert dec.verdict == EMERGING and math.isnan(dec.gc_score)
+
+    def test_array_and_row_sources_agree(self, gate_model):
+        X = np.random.default_rng(4).standard_normal((50, 2))
+        by_rows, stats_rows = predict_stream(gate_model, list(X))
+        by_array, stats_array = predict_stream(gate_model, X)
+        assert_same_routing(by_array, by_rows)
+        assert stats_array == stats_rows
+
+    def test_array_of_wrong_width(self, gate_model):
+        with pytest.raises(ModelDocumentError, match="dimension"):
+            predict_stream(gate_model, np.ones((4, 3)))
+
+    def test_stats_merge(self):
+        a = StreamStats(majority=2, known={1: 1, 3: 2}, emerging=1, sc_evaluations=4)
+        a.merge(StreamStats(majority=1, known={3: 1, 2: 5}, emerging=0, sc_evaluations=6))
+        assert a == StreamStats(majority=3, known={1: 1, 2: 5, 3: 3}, emerging=1,
+                                sc_evaluations=10)
+
+
 class TestModelDocument:
     def test_consistency_errors_name_fields(self):
         params = ModelParams(w0=np.zeros(2), b0=0.0, W=np.zeros((3, 2)), b=np.zeros(3))
@@ -164,6 +273,46 @@ class TestModelDocument:
     def test_raw_model_requires_features(self, gate_model):
         with pytest.raises(ModelDocumentError, match="features"):
             gate_model.featurize([{"text": "hello"}])
+
+    def test_featurize_chooses_per_record(self):
+        vocab = build_vocab(["flood water flood", "fire smoke", "calm day"])
+        model = make_model(w0=np.zeros(vocab.d), b0=0.0, W=np.zeros((1, vocab.d)), b=[0.0],
+                           thresholds=[0.0], representation={"kind": "tfidf"})
+        model.vocab = vocab
+        features = [float(j) for j in range(vocab.d)]
+        X = model.featurize([{"text": "flood water"}, {"features": features},
+                             {"text": "fire", "features": features}])
+        assert np.array_equal(X[0], model.featurize([{"text": "flood water"}])[0])
+        assert np.array_equal(X[1], features) and np.array_equal(X[2], features)
+        assert model.featurize([]).shape == (0, vocab.d)
+
+    @pytest.mark.parametrize("rec, message", [
+        ([1.0, 2.0], "not a JSON object"),
+        ({"features": "1 2"}, "not a list"),
+        ({"features": {"a": 1}}, "not a list"),
+        ({"features": None}, "not a list"),
+        ({"features": [1.0, 2.0, 3.0]}, "feature dimension 3 != model d 2"),
+        ({"features": [1.0, [2.0]]}, "non-numeric"),
+        ({"features": [1.0, "2"]}, "non-numeric"),
+        ({"features": [1.0, None]}, "non-numeric"),
+        ({"features": [True, 1.0]}, "non-numeric"),
+        ({"features": [1, 10 ** 400]}, "float range"),
+        ({"text": "hello"}, "requires 'features'"),
+        ({}, "requires 'features'"),
+    ])
+    def test_check_record_rejects(self, gate_model, rec, message):
+        with pytest.raises(ModelDocumentError, match=message):
+            gate_model.check_record(rec)
+
+    def test_check_record_accepts(self, gate_model):
+        gate_model.check_record({"features": [1, -2.5]})
+        gate_model.check_record({"features": [0.0, math.nan], "text": 3})
+        text_model = make_model(w0=[0.0], b0=0.0, W=[[0.0]], b=[0.0], thresholds=[0.0],
+                                representation={"kind": "tfidf"})
+        text_model.check_record({"text": "hello"})
+        text_model.check_record({})
+        with pytest.raises(ModelDocumentError, match="'text' is not a string"):
+            text_model.check_record({"text": ["hello"]})
 
 
 class TestPersistence:
