@@ -17,7 +17,7 @@ from . import coverage as cov
 from . import evaluation, featurize, recognizer, rejection, trainer
 from .dataset import (CorpusError, RARE, SyntheticConfig, gen_synthetic,
                       load_corpus, save_corpus)
-from .objective import Hyperparams, ObjectiveError, bind_data, gram_squared, identity_gram
+from .objective import Hyperparams, ObjectiveError, bind_data
 from .recognizer import KNOWN, Decision, ModelDocument, ModelDocumentError
 from .trainer import DivergenceError, TrainConfig
 
@@ -29,10 +29,6 @@ EXIT_NUMERIC = 3
 
 class UsageError(ValueError):
     pass
-
-
-def _atomic_write(path: str, payload: str) -> None:
-    recognizer._atomic_write(path, payload)
 
 
 _STRICT_JSON = json.JSONEncoder(allow_nan=False)
@@ -180,32 +176,12 @@ def _reject_method(args) -> str:
 def cmd_train(args) -> int:
     corpus = load_corpus(args.input)
     rep, pca_rank = _parse_rep(args.rep)
-    n = corpus.n
     # the whole input corpus is the training set for `train`
-    if rep == "raw":
-        X = corpus.feature_matrix()
-        descriptor, vocab, proj = {"kind": "raw", "d": X.shape[1]}, None, None
-    else:
-        texts = [d.text for d in corpus.docs]
-        vocab = featurize.build_vocab(texts, top_n=1000)
-        X = featurize.tfidf_transform(texts, vocab).values
-        descriptor, proj = {"kind": "tfidf"}, None
-        if rep == "pca":
-            proj = featurize.pca_fit(X, rank=min(pca_rank, min(X.shape)))
-            X = (X - proj.mean) @ proj.components.T
-            descriptor = {"kind": "pca", "rank": proj.rank}
-    rare_mask = np.array([d.label == RARE for d in corpus.docs])
-    subs = np.array([d.subclass or 0 for d in corpus.docs])
-    data = bind_data(X, rare_mask, subs)
-    hp = Hyperparams.uniform(data.K, lambda0=args.lambda0, lambdak=args.lambdak, mu=args.mu)
-    gram = identity_gram(X) if rep == "pca" else gram_squared(X)
-    model = trainer.fit(data, hp, _train_cfg(args), gram=gram)
-    thresholds = rejection.calibrate(model, data, method=_reject_method(args), q=args.q)
-    doc = ModelDocument(
-        version=recognizer.MODEL_VERSION, d=data.d, K=data.K, params=model.params,
-        thresholds=thresholds, representation=descriptor,
-        subclass_names=corpus.subclass_names or tuple(str(k) for k in range(1, data.K + 1)),
-        vocab=vocab, projection=proj)
+    doc = evaluation.train_document(
+        corpus, range(corpus.n), range(1, corpus.K + 1),
+        {"lambda0": args.lambda0, "lambdak": args.lambdak, "mu": args.mu}, _train_cfg(args),
+        representation=rep, pca_rank=pca_rank,
+        reject_method=_reject_method(args), q=args.q)
     recognizer.save(doc, args.out)
     return EXIT_OK
 
@@ -242,7 +218,7 @@ def cmd_predict(args) -> int:
     model = recognizer.load(args.model)
     start = time.perf_counter()
     totals = recognizer.StreamStats()
-    output = recognizer._atomic_open(args.out) if args.out else contextlib.nullcontext(sys.stdout)
+    output = recognizer.atomic_open(args.out) if args.out else contextlib.nullcontext(sys.stdout)
     with output as out:
         for records in _record_chunks(args.input, model):
             decisions, stats = recognizer.predict_stream(model, model.featurize(records))
@@ -260,18 +236,16 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     corpus = load_corpus(args.input)
     rep, pca_rank = _parse_rep(args.rep)
-    rep_name = {"tfidf": "tfidf", "pca": "pca", "raw": "raw"}[rep]
     report = evaluation.run_experiment(
         corpus,
         hp_template={"lambda0": args.lambda0, "lambdak": args.lambdak, "mu": args.mu},
-        cfg=_train_cfg(args),
-        repetitions=args.reps, base_seed=args.seed,
-        representation=rep_name, pca_rank=pca_rank,
+        cfg=_train_cfg(args), repetitions=args.reps, base_seed=args.seed,
+        representation=rep, pca_rank=pca_rank,
         reject_method=_reject_method(args), q=args.q,
         config_echo=_effective_config(args))
     payload = _dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     if args.out:
-        _atomic_write(args.out, payload)
+        recognizer.atomic_write(args.out, payload)
     sys.stdout.write(report.to_text())
     return EXIT_OK
 
@@ -288,9 +262,9 @@ def cmd_coverage(args) -> int:
     report = cov.coverage_report(sol, program)
     report["config"] = _effective_config(args)
     if args.out:
-        _atomic_write(args.out, _dumps(cov.report_for_json(report), indent=2, sort_keys=True) + "\n")
+        recognizer.atomic_write(args.out, _dumps(cov.report_for_json(report), indent=2, sort_keys=True) + "\n")
     if args.words_csv:
-        _atomic_write(args.words_csv, cov.report_words_csv(report))
+        recognizer.atomic_write(args.words_csv, cov.report_words_csv(report))
     sys.stdout.write(cov.report_text(report))
     return EXIT_OK
 
@@ -356,7 +330,7 @@ def cmd_bench(args) -> int:
     payload = {"timings": timings, "ratios": ratios, "config": _effective_config(args)}
     text = _dumps(payload, indent=2) + "\n"
     if args.out:
-        _atomic_write(args.out, text)
+        recognizer.atomic_write(args.out, text)
     sys.stdout.write(text)
     return EXIT_OK
 

@@ -76,9 +76,6 @@ class LabeledCorpus:
             rows.append(d.features)
         return np.asarray(rows, dtype=np.float64)
 
-    def has_features(self) -> bool:
-        return all(d.features is not None for d in self.docs)
-
 
 @dataclass(frozen=True)
 class SplitResult:
@@ -89,10 +86,6 @@ class SplitResult:
     seen_subclasses: frozenset[int]
     unseen_subclasses: frozenset[int]
     seed: int
-
-    @property
-    def test_rare(self) -> tuple[int, ...]:
-        return self.test_seen + self.test_unseen
 
 
 @dataclass(frozen=True)
@@ -119,13 +112,37 @@ class SyntheticConfig:
             raise ValueError("noise_scale must be > 0")
 
 
+_NUMBER_TYPES = frozenset((int, float))          # bool is its own type, so true/false are refused
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+def check_features(f) -> None:
+    """Raise CorpusError unless f is a `features` list of ints and floats
+    (no bools, no integers beyond the float range)."""
+    if type(f) is not list:
+        raise CorpusError("'features' is not a list")
+    types = set(map(type, f))
+    if not types <= _NUMBER_TYPES:
+        raise CorpusError("'features' has a non-numeric entry")
+    if int in types and any(type(v) is int and abs(v) > _FLOAT_MAX for v in f):
+        raise CorpusError("'features' has an integer beyond the float range")
+
+
 def _record_to_doc(rec: dict, lineno: int, name_to_id: dict[str, int]) -> Doc:
+    if not isinstance(rec, dict):
+        raise CorpusError(f"line {lineno}: record is not a JSON object")
     text = rec.get("text", "")
     label = rec.get("label")
     sub_name = rec.get("subclass") or None
     feats = rec.get("features")
     if feats is not None:
+        try:
+            check_features(feats)
+        except CorpusError as exc:
+            raise CorpusError(f"line {lineno}: {exc}") from None
         feats = np.asarray(feats, dtype=np.float64)
+        if not np.isfinite(feats).all():
+            raise CorpusError(f"line {lineno}: 'features' has a non-finite entry")
     if label == RARE:
         if sub_name is None:
             raise CorpusError(f"line {lineno}: rare doc missing subclass")
@@ -142,6 +159,19 @@ def load_corpus(path, format: str = "jsonl", corpus_id: str = "") -> LabeledCorp
     """Load a corpus from jsonl or csv; subclass names get ids 1..K in first-appearance order."""
     name_to_id: dict[str, int] = {}
     docs: list[Doc] = []
+    d = None                                     # length of the first features row
+
+    def add(rec, lineno: int) -> None:
+        nonlocal d
+        doc = _record_to_doc(rec, lineno, name_to_id)
+        if doc.features is not None:
+            if d is None:
+                d = len(doc.features)
+            elif len(doc.features) != d:
+                raise CorpusError(
+                    f"line {lineno}: feature dimension {len(doc.features)} != {d} of the first features row")
+        docs.append(doc)
+
     if format == "jsonl":
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -151,12 +181,12 @@ def load_corpus(path, format: str = "jsonl", corpus_id: str = "") -> LabeledCorp
                     rec = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise CorpusError(f"line {lineno}: invalid json ({exc.msg})") from exc
-                docs.append(_record_to_doc(rec, lineno, name_to_id))
+                add(rec, lineno)
     elif format == "csv":
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             for lineno, row in enumerate(reader, start=2):
-                docs.append(_record_to_doc(row, lineno, name_to_id))
+                add(row, lineno)
     else:
         raise CorpusError(f"unknown format {format!r}")
     if not docs:

@@ -167,60 +167,66 @@ def aggregate(per_seed: list[dict], seeds: list[int], errors: list[str],
                         incomplete=bool(errors), errors=errors, config=config or {})
 
 
-def _features_for(corpus: LabeledCorpus, split: SplitResult, representation: str,
-                  pca_rank: int = 0, top_n: int = 1000):
-    """Fit the representation on train docs only; return train/test matrices and a descriptor."""
-    test_order = list(split.test_seen) + list(split.test_unseen) + list(split.test_majority)
+def train_document(corpus: LabeledCorpus, rows, subclasses, hp_template: dict,
+                   cfg: trainer.TrainConfig, representation: str = "raw", pca_rank: int = 0,
+                   top_n: int = 1000, reject_method: str = rejection.EVT_POT,
+                   q: float = 0.01) -> ModelDocument:
+    """Fit the representation on corpus.docs[rows], train the GC and the SCs on
+    those rows with the given corpus subclass ids renumbered 1..K in order, and
+    calibrate the SC thresholds: the one path from corpus rows to a model."""
+    rows = list(rows)
     if representation == "raw":
-        X = corpus.feature_matrix()
-        return (X[list(split.train)], X[test_order],
-                {"kind": "raw", "d": X.shape[1]}, None, None)
-    train_texts = [corpus.docs[i].text for i in split.train]
-    test_texts = [corpus.docs[i].text for i in test_order]
-    vocab = featurize.build_vocab(train_texts, top_n=top_n)
-    Xtr = featurize.tfidf_transform(train_texts, vocab).values
-    Xte = featurize.tfidf_transform(test_texts, vocab).values
-    if representation == "tfidf":
-        return Xtr, Xte, {"kind": "tfidf"}, vocab, None
-    if representation == "pca":
-        proj = featurize.pca_fit(Xtr, rank=min(pca_rank, min(Xtr.shape)))
-        return ((Xtr - proj.mean) @ proj.components.T,
-                (Xte - proj.mean) @ proj.components.T,
-                {"kind": "pca", "rank": proj.rank}, vocab, proj)
-    raise EvalError(f"unknown representation {representation!r}")
+        X = corpus.feature_matrix()[rows]
+        descriptor, vocab, proj = {"kind": "raw", "d": X.shape[1]}, None, None
+    elif representation in ("tfidf", "pca"):
+        texts = [corpus.docs[i].text for i in rows]
+        vocab = featurize.build_vocab(texts, top_n=top_n)
+        X = featurize.tfidf_transform(texts, vocab)
+        descriptor, proj = {"kind": "tfidf"}, None
+        if representation == "pca":
+            proj = featurize.pca_fit(X, rank=min(pca_rank, min(X.shape)))
+            X = featurize.pca_transform(X, proj)
+            descriptor = {"kind": "pca", "rank": proj.rank}
+    else:
+        raise EvalError(f"unknown representation {representation!r}")
+
+    subclasses = list(subclasses)
+    renumber = {k: j + 1 for j, k in enumerate(subclasses)}
+    docs = [corpus.docs[i] for i in rows]
+    data = bind_data(X, np.array([d.label == RARE for d in docs]),
+                     np.array([renumber.get(d.subclass or 0, 0) for d in docs]))
+    gram = identity_gram(X) if representation == "pca" else gram_squared(X)
+    hp = Hyperparams.uniform(data.K, **hp_template)
+    model = trainer.fit(data, hp, cfg, gram=gram)
+    thresholds = rejection.calibrate(model, data, method=reject_method, q=q)
+    names = corpus.subclass_names or tuple(str(k) for k in range(1, corpus.K + 1))
+    return ModelDocument(
+        version=recognizer.MODEL_VERSION, d=data.d, K=data.K, params=model.params,
+        thresholds=thresholds, representation=descriptor,
+        subclass_names=tuple(names[k - 1] for k in subclasses),
+        vocab=vocab, projection=proj)
 
 
 def run_single(corpus: LabeledCorpus, hp_template: dict, cfg: trainer.TrainConfig,
                seed: int, representation: str = "raw", pca_rank: int = 0,
                top_n: int = 1000, reject_method: str = rejection.EVT_POT,
                q: float = 0.01) -> tuple[dict, ModelDocument, SplitResult]:
-    """One repetition: split -> featurize -> fit -> calibrate -> predict -> metrics."""
+    """One repetition: split -> train_document -> predict the test docs -> metrics."""
     split = split_protocol(corpus, seed=seed)
-    Xtr, Xte, descriptor, vocab, proj = _features_for(
-        corpus, split, representation, pca_rank=pca_rank, top_n=top_n)
-
-    # remap seen subclasses to contiguous 1..K' train ids
     seen_sorted = sorted(split.seen_subclasses)
-    remap = {k: j + 1 for j, k in enumerate(seen_sorted)}
-    rare_mask = np.array([corpus.docs[i].label == RARE for i in split.train])
-    subs = np.array([remap.get(corpus.docs[i].subclass or 0, 0) for i in split.train])
-    data = bind_data(Xtr, rare_mask, subs)
-    gram = identity_gram(Xtr) if representation == "pca" else gram_squared(Xtr)
-
-    hp = Hyperparams.uniform(data.K, **hp_template)
-    model = trainer.fit(data, hp, cfg, gram=gram)
-    thresholds = rejection.calibrate(model, data, method=reject_method, q=q)
-    names = corpus.subclass_names or tuple(str(k) for k in range(1, corpus.K + 1))
-    doc = ModelDocument(
-        version=recognizer.MODEL_VERSION, d=data.d, K=data.K, params=model.params,
-        thresholds=thresholds, representation=descriptor,
-        subclass_names=tuple(names[k - 1] for k in seen_sorted),
-        vocab=vocab, projection=proj)
+    doc = train_document(corpus, split.train, seen_sorted, hp_template, cfg,
+                         representation=representation, pca_rank=pca_rank, top_n=top_n,
+                         reject_method=reject_method, q=q)
+    test_order = list(split.test_seen) + list(split.test_unseen) + list(split.test_majority)
+    if representation == "raw":
+        Xte = corpus.feature_matrix()[test_order]
+    else:
+        Xte = doc.featurize([{"text": corpus.docs[i].text} for i in test_order])
 
     decisions, _ = recognizer.predict_stream(doc, Xte)
     metrics = top_level_metrics(decisions, split)
-    subclass_of = {i: remap.get(corpus.docs[i].subclass or 0, 0)
-                   for i in split.test_seen}
+    remap = {k: j + 1 for j, k in enumerate(seen_sorted)}
+    subclass_of = {i: remap[corpus.docs[i].subclass] for i in split.test_seen}
     table = confusion_table(decisions, split, subclass_of)
     metrics["acc_rare"] = acc_rare(table)
     return metrics, doc, split

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -60,17 +59,6 @@ class Vocabulary:
 
 
 @dataclass(frozen=True)
-class FeatureMatrix:
-    values: np.ndarray               # n x d, float64
-    row_ids: tuple[int, ...]
-    representation: str              # "tfidf" | "pca" | "raw"
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise FeaturizeError("non-finite feature values")
-
-
-@dataclass(frozen=True)
 class PcaProjection:
     mean: np.ndarray                 # length d
     components: np.ndarray           # r x d, orthonormal rows
@@ -118,8 +106,7 @@ def build_vocab(texts: list[str], top_n: int = 1000) -> Vocabulary:
     return Vocabulary(terms=terms, df=tuple(df[t] for t in terms), n_docs_fitted=len(texts))
 
 
-def tfidf_transform(texts: list[str], vocab: Vocabulary,
-                    row_ids: tuple[int, ...] | None = None) -> FeatureMatrix:
+def tfidf_transform(texts: list[str], vocab: Vocabulary) -> np.ndarray:
     """tf * ln((1+n)/(1+df)) with L2 row normalization; OOV terms contribute 0."""
     idx = vocab.index()
     idf = np.log((1.0 + vocab.n_docs_fitted) / (1.0 + np.asarray(vocab.df, dtype=np.float64)))
@@ -132,14 +119,12 @@ def tfidf_transform(texts: list[str], vocab: Vocabulary,
         norm = np.linalg.norm(X[i])
         if norm > 0:
             X[i] /= norm
-    if row_ids is None:
-        row_ids = tuple(range(len(texts)))
-    return FeatureMatrix(values=X, row_ids=row_ids, representation="tfidf")
+    return X
 
 
-def pca_fit(X: FeatureMatrix | np.ndarray, rank: int) -> PcaProjection:
+def pca_fit(X: np.ndarray, rank: int) -> PcaProjection:
     """Top-rank eigendirections of the centered covariance (d x d eigendecomposition)."""
-    A = X.values if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=np.float64)
+    A = np.asarray(X, dtype=np.float64)
     n, d = A.shape
     if rank > min(n, d):
         raise FeaturizeError(f"rank {rank} exceeds min(n, d) = {min(n, d)}")
@@ -157,25 +142,5 @@ def pca_fit(X: FeatureMatrix | np.ndarray, rank: int) -> PcaProjection:
                          truncated=truncated)
 
 
-def pca_transform(X: FeatureMatrix | np.ndarray, proj: PcaProjection,
-                  row_ids: tuple[int, ...] | None = None) -> FeatureMatrix:
-    A = X.values if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=np.float64)
-    ids = row_ids if row_ids is not None else (
-        X.row_ids if isinstance(X, FeatureMatrix) else tuple(range(len(A))))
-    return FeatureMatrix(values=(A - proj.mean) @ proj.components.T,
-                         row_ids=ids, representation="pca")
-
-
-def save_json(obj: Vocabulary | PcaProjection, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj.to_json(), fh)
-
-
-def load_vocab(path) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
-        return Vocabulary.from_json(json.load(fh))
-
-
-def load_projection(path) -> PcaProjection:
-    with open(path, encoding="utf-8") as fh:
-        return PcaProjection.from_json(json.load(fh))
+def pca_transform(X: np.ndarray, proj: PcaProjection) -> np.ndarray:
+    return (np.asarray(X, dtype=np.float64) - proj.mean) @ proj.components.T

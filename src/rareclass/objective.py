@@ -64,9 +64,6 @@ class ModelParams:
     def zeros(cls, d: int, K: int) -> "ModelParams":
         return cls.from_flat(np.zeros((K + 1) * (d + 1)), d, K)
 
-    def copy(self) -> "ModelParams":
-        return ModelParams.from_flat(self.theta, self.d, self.K)
-
     def flat(self) -> np.ndarray:
         """Concatenate as (w0, b0, w1, b1, ..., wK, bK)."""
         return self.theta.flatten()

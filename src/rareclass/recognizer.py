@@ -12,6 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .dataset import CorpusError, check_features
 from .featurize import PcaProjection, Vocabulary, tfidf_transform, pca_transform
 from .objective import ModelParams
 from .rejection import RejectionThresholds
@@ -87,6 +88,22 @@ class ModelDocument:
         if len(self.subclass_names) != self.K:
             raise ModelDocumentError(
                 f"subclass_names count {len(self.subclass_names)} inconsistent with K={self.K}")
+        kind = self.representation.get("kind") if isinstance(self.representation, dict) else None
+        if kind not in ("raw", "tfidf", "pca"):
+            raise ModelDocumentError(f"unknown representation {self.representation!r}")
+        if kind == "tfidf" and self.vocab is not None and self.vocab.d != self.d:
+            raise ModelDocumentError(f"vocabulary size {self.vocab.d} inconsistent with d={self.d}")
+        proj = self.projection
+        if kind == "pca" and proj is not None:
+            if proj.components.shape != (self.d, len(proj.mean)):
+                raise ModelDocumentError(
+                    f"projection components {proj.components.shape} inconsistent with "
+                    f"d={self.d} and mean length {len(proj.mean)}")
+            if self.vocab is not None and len(proj.mean) != self.vocab.d:
+                raise ModelDocumentError(
+                    f"projection mean length {len(proj.mean)} inconsistent with vocabulary size {self.vocab.d}")
+            if not (np.all(np.isfinite(proj.mean)) and np.all(np.isfinite(proj.components))):
+                raise ModelDocumentError("projection has non-finite feature values")
 
     def check_record(self, rec) -> None:
         """Raise ModelDocumentError unless rec is a stream record this model can featurize:
@@ -101,15 +118,12 @@ class ModelDocument:
                 raise ModelDocumentError("'text' is not a string")
             return
         f = rec["features"]
-        if type(f) is not list:
-            raise ModelDocumentError("'features' is not a list")
+        try:
+            check_features(f)
+        except CorpusError as exc:
+            raise ModelDocumentError(str(exc)) from None
         if len(f) != self.d:
             raise ModelDocumentError(f"feature dimension {len(f)} != model d {self.d}")
-        types = set(map(type, f))
-        if not types <= _NUMBER_TYPES:
-            raise ModelDocumentError("'features' has a non-numeric entry")
-        if int in types and any(type(v) is int and abs(v) > _FLOAT_MAX for v in f):
-            raise ModelDocumentError("'features' has an integer beyond the float range")
 
     def featurize(self, records: list[dict]) -> np.ndarray:
         """Map stream records to an (n, d) array, choosing per record: its own
@@ -125,8 +139,8 @@ class ModelDocument:
         if len(text_rows) < n:
             feature_rows = [i for i, r in enumerate(records) if "features" in r]
             X[feature_rows] = self._features([records[i]["features"] for i in feature_rows])
-        T = tfidf_transform([records[i].get("text", "") for i in text_rows], self.vocab).values
-        X[text_rows] = pca_transform(T, self.projection).values if self.representation["kind"] == "pca" else T
+        T = tfidf_transform([records[i].get("text", "") for i in text_rows], self.vocab)
+        X[text_rows] = pca_transform(T, self.projection) if self.representation["kind"] == "pca" else T
         return X
 
     def _features(self, rows: list) -> np.ndarray:
@@ -137,10 +151,6 @@ class ModelDocument:
         if X.shape[1] != self.d:
             raise ModelDocumentError(f"feature dimension {X.shape[1]} != model d {self.d}")
         return X
-
-
-_NUMBER_TYPES = frozenset((int, float))          # bool is its own type, so true/false are refused
-_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def predict_batch(model: ModelDocument, X: np.ndarray,
@@ -207,7 +217,7 @@ def _stack_rows(model: ModelDocument, source: Iterable[np.ndarray]) -> np.ndarra
 
 
 @contextlib.contextmanager
-def _atomic_open(path):
+def atomic_open(path):
     """A text file that replaces `path` when the block ends and is deleted if the block raises."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -221,8 +231,8 @@ def _atomic_open(path):
         raise
 
 
-def _atomic_write(path, payload: str) -> None:
-    with _atomic_open(path) as fh:
+def atomic_write(path, payload: str) -> None:
+    with atomic_open(path) as fh:
         fh.write(payload)
 
 
@@ -248,7 +258,7 @@ def save(model: ModelDocument, path) -> None:
         payload = json.dumps(doc, allow_nan=False)
     except ValueError as exc:
         raise ModelDocumentError(f"model document has a non-finite value: {exc}") from exc
-    _atomic_write(path, payload)
+    atomic_write(path, payload)
 
 
 def load(path) -> ModelDocument:

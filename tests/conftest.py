@@ -125,3 +125,103 @@ def balanced_corpus(K=3, per_subclass=10, majority=20, seed=0):
         docs += [Doc(f"doc subclass{k} token{i}", RARE, k) for i in range(per_subclass)]
     docs += [Doc(f"majority token{i}", MAJORITY) for i in range(majority)]
     return LabeledCorpus(docs=tuple(docs), K=K, id=f"balanced-{K}")
+
+
+def text_feature_corpus(seed=0, K=3, per_subclass=24, majority=72, d=5):
+    """Docs with both text and features: background words for every doc, topic
+    words per subclass and words shared by all rare docs; features around a
+    shared rare direction plus one direction per subclass. Every representation
+    (raw, tfidf, pca) can train on it."""
+    rng = np.random.default_rng(seed)
+    letters = "abcdefgh"
+    background = ["b" + a + b for a in letters for b in letters]
+    shared = ["s" + a + a for a in letters[:6]]
+    centers = rng.standard_normal((K, d)) * 0.5
+    centers[:, 0] = 1.0
+    docs = []
+    for k in range(K + 1):                       # k = 0: majority
+        for _ in range(per_subclass if k else majority):
+            words = list(rng.choice(background, size=12))
+            x = 0.3 * rng.standard_normal(d)
+            if k:
+                words += list(rng.choice(["t" + letters[k] + b for b in letters[:6]], size=4))
+                words += list(rng.choice(shared, size=2))
+                x += centers[k - 1]
+            docs.append(Doc(" ".join(words), RARE if k else MAJORITY, k or None, x))
+    return LabeledCorpus(docs=tuple(docs), K=K, id=f"text-features-{seed}",
+                         subclass_names=tuple(f"topic-{k}" for k in range(1, K + 1)))
+
+
+def train_by_hand(corpus, rep, pca_rank, hp_template, cfg, reject_method, q):
+    """The `train` sequence cmd_train wrote out before evaluation.train_document,
+    kept as the reference the one pipeline is compared against."""
+    from rareclass import featurize, recognizer, rejection, trainer
+    from rareclass.objective import Hyperparams, gram_squared, identity_gram
+    if rep == "raw":
+        X = corpus.feature_matrix()
+        descriptor, vocab, proj = {"kind": "raw", "d": X.shape[1]}, None, None
+    else:
+        texts = [d.text for d in corpus.docs]
+        vocab = featurize.build_vocab(texts, top_n=1000)
+        X = featurize.tfidf_transform(texts, vocab)
+        descriptor, proj = {"kind": "tfidf"}, None
+        if rep == "pca":
+            proj = featurize.pca_fit(X, rank=min(pca_rank, min(X.shape)))
+            X = (X - proj.mean) @ proj.components.T
+            descriptor = {"kind": "pca", "rank": proj.rank}
+    rare_mask = np.array([d.label == RARE for d in corpus.docs])
+    subs = np.array([d.subclass or 0 for d in corpus.docs])
+    data = bind_data(X, rare_mask, subs)
+    hp = Hyperparams.uniform(data.K, **hp_template)
+    gram = identity_gram(X) if rep == "pca" else gram_squared(X)
+    model = trainer.fit(data, hp, cfg, gram=gram)
+    thresholds = rejection.calibrate(model, data, method=reject_method, q=q)
+    return recognizer.ModelDocument(
+        version=recognizer.MODEL_VERSION, d=data.d, K=data.K, params=model.params,
+        thresholds=thresholds, representation=descriptor,
+        subclass_names=corpus.subclass_names or tuple(str(k) for k in range(1, data.K + 1)),
+        vocab=vocab, projection=proj)
+
+
+def run_single_by_hand(corpus, hp_template, cfg, seed, rep, pca_rank, reject_method, q,
+                       top_n=1000):
+    """The `evaluate` repetition run_single wrote out before train_document,
+    with its own tf-idf and PCA transform of the test docs: the metrics dict."""
+    from rareclass import featurize, recognizer, rejection, trainer
+    from rareclass.dataset import split_protocol
+    from rareclass.evaluation import acc_rare, confusion_table, top_level_metrics
+    from rareclass.objective import Hyperparams, gram_squared, identity_gram
+    split = split_protocol(corpus, seed=seed)
+    test_order = list(split.test_seen) + list(split.test_unseen) + list(split.test_majority)
+    vocab = proj = None
+    if rep == "raw":
+        X = corpus.feature_matrix()
+        Xtr, Xte, descriptor = X[list(split.train)], X[test_order], {"kind": "raw", "d": X.shape[1]}
+    else:
+        train_texts = [corpus.docs[i].text for i in split.train]
+        vocab = featurize.build_vocab(train_texts, top_n=top_n)
+        Xtr = featurize.tfidf_transform(train_texts, vocab)
+        Xte = featurize.tfidf_transform([corpus.docs[i].text for i in test_order], vocab)
+        descriptor = {"kind": "tfidf"}
+        if rep == "pca":
+            proj = featurize.pca_fit(Xtr, rank=min(pca_rank, min(Xtr.shape)))
+            Xtr, Xte = (Xtr - proj.mean) @ proj.components.T, (Xte - proj.mean) @ proj.components.T
+            descriptor = {"kind": "pca", "rank": proj.rank}
+    seen_sorted = sorted(split.seen_subclasses)
+    remap = {k: j + 1 for j, k in enumerate(seen_sorted)}
+    rare_mask = np.array([corpus.docs[i].label == RARE for i in split.train])
+    subs = np.array([remap.get(corpus.docs[i].subclass or 0, 0) for i in split.train])
+    data = bind_data(Xtr, rare_mask, subs)
+    gram = identity_gram(Xtr) if rep == "pca" else gram_squared(Xtr)
+    model = trainer.fit(data, Hyperparams.uniform(data.K, **hp_template), cfg, gram=gram)
+    thresholds = rejection.calibrate(model, data, method=reject_method, q=q)
+    names = corpus.subclass_names or tuple(str(k) for k in range(1, corpus.K + 1))
+    doc = recognizer.ModelDocument(
+        version=recognizer.MODEL_VERSION, d=data.d, K=data.K, params=model.params,
+        thresholds=thresholds, representation=descriptor,
+        subclass_names=tuple(names[k - 1] for k in seen_sorted), vocab=vocab, projection=proj)
+    decisions, _ = recognizer.predict_stream(doc, Xte)
+    metrics = top_level_metrics(decisions, split)
+    subclass_of = {i: remap.get(corpus.docs[i].subclass or 0, 0) for i in split.test_seen}
+    metrics["acc_rare"] = acc_rare(confusion_table(decisions, split, subclass_of))
+    return metrics

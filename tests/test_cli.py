@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import run_single_by_hand, text_feature_corpus, train_by_hand
 from rareclass import cli
 from rareclass.cli import (
     EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, bench_timings, build_parser, main,
 )
-from rareclass.dataset import SyntheticConfig, gen_synthetic, save_corpus
+from rareclass.dataset import SyntheticConfig, gen_synthetic, load_corpus, save_corpus
 from rareclass.objective import ModelParams
 from rareclass.recognizer import (
     EMERGING, KNOWN, MAJORITY, Decision, ModelDocument, load, predict_stream, save,
 )
-from rareclass.rejection import PERCENTILE, RejectionThresholds
+from rareclass.rejection import EVT_POT, PERCENTILE, RejectionThresholds
+from rareclass.trainer import TrainConfig
 
 
 def _reject_constant(name):
@@ -316,6 +318,117 @@ class TestEvaluate:
         conf.write_text(json.dumps({"bogus_key": 1}))
         rc = main(["--config", str(conf), "evaluate", "--input", synth_file])
         assert rc == EXIT_USAGE
+
+
+# --rep flag, representation, pca rank: every representation `train` and `evaluate` take
+REP_FLAGS = [("raw", "raw", 0), ("tfidf1k", "tfidf", 0), ("pca:4", "pca", 4)]
+PIPELINE_FLAGS = ["--iters", "40", "--step", "0.003", "--mu", "1e-4", "--q", "0.05"]
+PIPELINE_HP = {"lambda0": 1.0, "lambdak": 1.0, "mu": 1e-4}
+
+
+@pytest.fixture
+def text_feature_file(tmp_path):
+    f = tmp_path / "corpus.jsonl"
+    save_corpus(text_feature_corpus(), f)
+    return str(f)
+
+
+class TestPipelineCommands:
+    """`train` and `evaluate` against the sequences they wrote out by hand before
+    both went through evaluation.train_document."""
+
+    @pytest.mark.parametrize("flag, rep, rank", REP_FLAGS)
+    def test_train_writes_reference_bytes(self, tmp_path, text_feature_file, flag, rep, rank):
+        out = tmp_path / "model.json"
+        assert main(["train", "--input", text_feature_file, "--rep", flag, *PIPELINE_FLAGS,
+                     "--reject", "percentile", "--out", str(out)]) == EXIT_OK
+        hand = train_by_hand(load_corpus(text_feature_file), rep, rank, PIPELINE_HP,
+                             TrainConfig(max_iters=40, step_size=0.003), PERCENTILE, 0.05)
+        save(hand, tmp_path / "hand.json")
+        assert out.read_bytes() == (tmp_path / "hand.json").read_bytes()
+
+    @pytest.mark.parametrize("flag, rep, rank", REP_FLAGS)
+    def test_evaluate_reports_reference_metrics(self, tmp_path, text_feature_file,
+                                                flag, rep, rank):
+        out = tmp_path / "report.json"
+        assert main(["evaluate", "--input", text_feature_file, "--rep", flag, *PIPELINE_FLAGS,
+                     "--reps", "2", "--seed", "5", "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        corpus = load_corpus(text_feature_file)
+        cfg = TrainConfig(max_iters=40, step_size=0.003, seed=5)
+        assert not report["incomplete"]
+        assert report["per_seed"] == [
+            run_single_by_hand(corpus, PIPELINE_HP, cfg, seed, rep, rank, EVT_POT, 0.05)
+            for seed in (5, 6)]
+
+
+def _drop_last_term(vocab):
+    vocab["terms"].pop()
+    vocab["df"].pop()
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("bad, message", [
+        ('{"label": "majority", "features": [1, 2]}', "feature dimension 2 != 3"),
+        ('{"label": "majority", "features": [1, 2, 3, 4]}', "feature dimension 4 != 3"),
+        ('{"label": "majority", "features": [1, [2, 3], 4]}', "non-numeric"),
+        ('{"label": "majority", "features": ["x", 2.0, 0.5]}', "non-numeric"),
+        ('{"label": "majority", "features": [1, null, 3]}', "non-numeric"),
+        ('{"label": "majority", "features": [1, true, 3]}', "non-numeric"),
+        ('{"label": "majority", "features": 5}', "not a list"),
+        ('{"label": "majority", "features": [1, NaN, 3]}', "non-finite"),
+        ('{"label": "majority", "features": [1, -Infinity, 3]}', "non-finite"),
+        ('{"label": "majority", "features": [1, 1e400, 3]}', "non-finite"),
+        ('{"label": "majority", "features": [1, 1' + "0" * 400 + ', 3]}', "float range"),
+        ('[1, 2, 3]', "not a JSON object"),
+    ], ids=["short", "long", "nested", "string", "null", "bool", "scalar", "nan", "-inf",
+            "float-overflow", "int-overflow", "not-object"])
+    def test_bad_corpus_record_is_data_error_naming_its_line(self, tmp_path, capsys,
+                                                             bad, message):
+        corpus = tmp_path / "c.jsonl"
+        # blank lines count in line numbers: the bad record is on line 4
+        corpus.write_text('{"label": "rare", "subclass": "a", "features": [1, 1, 1]}\n\n'
+                          '{"label": "majority", "features": [0, 0, 0]}\n' + bad + "\n"
+                          '{"label": "rare", "subclass": "a", "features": [1, 0, 1]}\n')
+        out = tmp_path / "m.json"
+        rc = main(["train", "--input", str(corpus), "--rep", "raw", "--iters", "5",
+                   "--reject", "percentile", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert "line 4: " in err and message in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+
+    @pytest.mark.parametrize("flag, corrupt, message", [
+        ("tfidf1k", lambda doc: _drop_last_term(doc["vocab"]), "vocabulary size"),
+        ("pca:4", lambda doc: doc["projection"]["components"].pop(), "projection components"),
+        ("pca:4", lambda doc: doc["projection"]["mean"].pop(), "projection components"),
+        ("pca:4", lambda doc: _drop_last_term(doc["vocab"]), "inconsistent with vocabulary size"),
+        ("pca:4", lambda doc: doc["projection"]["mean"].__setitem__(0, math.nan), "non-finite"),
+        ("pca:4", lambda doc: doc["projection"]["components"][1].__setitem__(0, math.inf),
+         "non-finite"),
+        ("tfidf1k", lambda doc: doc.__setitem__("representation", {"kind": "lsa"}),
+         "unknown representation"),
+        ("tfidf1k", lambda doc: doc.__setitem__("representation", "tfidf"),
+         "unknown representation"),
+    ], ids=["tfidf-vocab-short", "pca-rank-short", "pca-mean-short", "pca-vocab-short",
+            "pca-nan-mean", "pca-inf-component", "unknown-kind", "not-object"])
+    def test_inconsistent_model_is_data_error_at_load(self, tmp_path, text_feature_file, capsys,
+                                                      flag, corrupt, message):
+        model = tmp_path / "model.json"
+        assert main(["train", "--input", text_feature_file, "--rep", flag, *PIPELINE_FLAGS,
+                     "--reject", "percentile", "--out", str(model)]) == EXIT_OK
+        doc = json.loads(model.read_text())
+        corrupt(doc)
+        model.write_text(json.dumps(doc))               # NaN/Infinity as Python writes them
+        stream = tmp_path / "s.jsonl"
+        stream.write_text('{"text": "baa bab tbb sbb"}\n')
+        out = tmp_path / "d.jsonl"
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model), "--input", str(stream), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestCoverage:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import run_single_by_hand, text_feature_corpus, train_by_hand
 from rareclass.dataset import SplitResult, SyntheticConfig, gen_synthetic
 from rareclass.evaluation import (
     ConfusionTable, EvalError, acc_rare, aggregate, confusion_table,
-    run_experiment, run_single, top_level_metrics,
+    run_experiment, run_single, top_level_metrics, train_document,
 )
-from rareclass.recognizer import Decision, EMERGING, KNOWN, MAJORITY
+from rareclass.recognizer import Decision, EMERGING, KNOWN, MAJORITY, save
+from rareclass.rejection import EVT_POT, PERCENTILE
 from rareclass.trainer import TrainConfig
 
 
@@ -226,3 +228,48 @@ class TestRunExperiment:
         report = run_experiment(corpus, {"mu": 1.0}, cfg, repetitions=2)
         assert report.incomplete
         assert len(report.errors) == 2
+
+
+# (representation, pca rank): every kind a model document can carry
+REPRESENTATIONS = [("raw", 0), ("tfidf", 0), ("pca", 4)]
+HP = {"lambda0": 1.0, "lambdak": 1.0, "mu": 1e-4}
+
+
+class TestTrainDocument:
+    """train_document against the sequences cmd_train and run_single wrote out by hand."""
+
+    @pytest.mark.parametrize("rep, rank", REPRESENTATIONS)
+    @pytest.mark.parametrize("batch", [None, 16])
+    def test_whole_corpus_model_bytes_match_reference(self, tmp_path, rep, rank, batch):
+        corpus = text_feature_corpus()
+        cfg = TrainConfig(max_iters=40, step_size=0.003, batch=batch, seed=0)
+        doc = train_document(corpus, range(corpus.n), range(1, corpus.K + 1), HP, cfg,
+                             representation=rep, pca_rank=rank,
+                             reject_method=PERCENTILE, q=0.05)
+        save(doc, tmp_path / "pipeline.json")
+        save(train_by_hand(corpus, rep, rank, HP, cfg, PERCENTILE, 0.05), tmp_path / "hand.json")
+        assert (tmp_path / "pipeline.json").read_bytes() == (tmp_path / "hand.json").read_bytes()
+        assert doc.representation["kind"] == rep
+
+    def test_subclasses_renumbered_in_given_order(self):
+        corpus = text_feature_corpus()
+        rows = [i for i, d in enumerate(corpus.docs) if d.subclass != 2]
+        doc = train_document(corpus, rows, [1, 3], HP, TrainConfig(max_iters=20, step_size=0.003),
+                             reject_method=PERCENTILE, q=0.05)
+        assert doc.K == 2 and doc.subclass_names == ("topic-1", "topic-3")
+
+    def test_unknown_representation(self):
+        corpus = text_feature_corpus()
+        with pytest.raises(EvalError, match="unknown representation"):
+            train_document(corpus, range(corpus.n), range(1, corpus.K + 1), HP,
+                           TrainConfig(max_iters=5), representation="lsa")
+
+    @pytest.mark.parametrize("rep, rank", REPRESENTATIONS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_run_single_metrics_match_reference(self, rep, rank, seed):
+        corpus = text_feature_corpus()
+        cfg = TrainConfig(max_iters=40, step_size=0.003, seed=0)
+        metrics, doc, split = run_single(corpus, HP, cfg, seed, representation=rep,
+                                         pca_rank=rank, reject_method=EVT_POT, q=0.05)
+        assert metrics == run_single_by_hand(corpus, HP, cfg, seed, rep, rank, EVT_POT, 0.05)
+        assert doc.K == len(split.seen_subclasses)

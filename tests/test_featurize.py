@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from rareclass.featurize import (
-    FeaturizeError, PcaProjection, Vocabulary, build_vocab, load_projection,
-    load_vocab, pca_fit, pca_transform, save_json, tfidf_transform, tokenize,
+    FeaturizeError, PcaProjection, Vocabulary, build_vocab, pca_fit, pca_transform,
+    tfidf_transform, tokenize,
 )
 
 
@@ -49,12 +49,12 @@ class TestBuildVocab:
 class TestTfidf:
     def test_oov_doc_zero_row(self):
         vocab = build_vocab(["aa bb", "bb cc"])
-        X = tfidf_transform(["zz yy"], vocab).values
+        X = tfidf_transform(["zz yy"], vocab)
         assert np.all(X == 0)
 
     def test_single_doc_fit_idf_degenerate(self):
         vocab = build_vocab(["xx xx yy"])
-        X = tfidf_transform(["xx xx yy"], vocab).values
+        X = tfidf_transform(["xx xx yy"], vocab)
         assert np.all(X == 0)     # idf = ln(2/2) = 0 for every term
 
     def test_rows_unit_or_zero(self):
@@ -62,7 +62,7 @@ class TestTfidf:
         words = ["w" + chr(97 + i // 26) + chr(97 + i % 26) for i in range(30)]
         texts = [" ".join(rng.choice(words, size=12)) for _ in range(20)]
         vocab = build_vocab(texts, top_n=25)
-        X = tfidf_transform(texts + ["unseenword"], vocab).values
+        X = tfidf_transform(texts + ["unseenword"], vocab)
         norms = np.linalg.norm(X, axis=1)
         assert np.all((np.abs(norms - 1) < 1e-9) | (norms == 0))
 
@@ -74,7 +74,7 @@ class TestTfidf:
 
     def test_weighting_formula(self):
         vocab = build_vocab(["aa bb", "aa cc", "aa dd"])
-        X = tfidf_transform(["aa bb bb"], vocab).values[0]
+        X = tfidf_transform(["aa bb bb"], vocab)[0]
         idx = {t: j for j, t in enumerate(vocab.terms)}
         raw_aa = 1 * np.log(4 / 4)
         raw_bb = 2 * np.log(4 / 2)
@@ -99,7 +99,7 @@ class TestPca:
         rng = np.random.default_rng(3)
         X = rng.standard_normal((30, 4))
         proj = pca_fit(X, rank=4)
-        Z = pca_transform(X, proj).values
+        Z = pca_transform(X, proj)
         back = Z @ proj.components + proj.mean
         assert np.allclose(back, X, atol=1e-6)
 
@@ -135,30 +135,25 @@ class TestPca:
         rng = np.random.default_rng(6)
         X = rng.standard_normal((50, 6)) @ rng.standard_normal((6, 6))
         proj = pca_fit(X, rank=4)
-        Z = pca_transform(X, proj).values
+        Z = pca_transform(X, proj)
         G = (Z - Z.mean(axis=0)).T @ (Z - Z.mean(axis=0))
         off = G - np.diag(np.diag(G))
         assert np.max(np.abs(off)) < 1e-6 * np.max(np.diag(G))
 
 
 class TestSerialization:
-    def test_vocab_roundtrip(self, tmp_path):
+    def test_vocab_roundtrip(self):
         vocab = build_vocab(["aa bb cc", "bb dd"])
-        f = tmp_path / "vocab.json"
-        save_json(vocab, f)
-        assert load_vocab(f) == vocab
+        assert Vocabulary.from_json(json.loads(json.dumps(vocab.to_json()))) == vocab
 
-    def test_projection_roundtrip(self, tmp_path):
+    def test_projection_roundtrip(self):
         rng = np.random.default_rng(7)
         proj = pca_fit(rng.standard_normal((20, 4)), rank=2)
-        f = tmp_path / "proj.json"
-        save_json(proj, f)
-        back = load_projection(f)
+        back = PcaProjection.from_json(json.loads(json.dumps(proj.to_json())))
         assert np.array_equal(back.mean, proj.mean)
         assert np.array_equal(back.components, proj.components)
 
-    def test_version_check(self, tmp_path):
-        f = tmp_path / "vocab.json"
-        f.write_text('{"version": 99, "terms": [], "df": [], "n_docs_fitted": 0}')
+    def test_version_check(self):
+        obj = json.loads('{"version": 99, "terms": [], "df": [], "n_docs_fitted": 0}')
         with pytest.raises(FeaturizeError, match="version"):
-            load_vocab(f)
+            Vocabulary.from_json(obj)
