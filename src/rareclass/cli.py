@@ -243,6 +243,13 @@ def cmd_evaluate(args) -> int:
         representation=rep, pca_rank=pca_rank,
         reject_method=_reject_method(args), q=args.q,
         config_echo=_effective_config(args))
+    if report.first_error is not None and not report.per_seed:
+        # every repetition failed: no report, and the first failure's exit code
+        code = _exit_code(report.first_error)
+        if code is None:
+            raise report.first_error
+        print(f"error: every repetition failed: {'; '.join(report.errors)}", file=sys.stderr)
+        return code
     payload = _dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     if args.out:
         recognizer.atomic_write(args.out, payload)
@@ -252,8 +259,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_coverage(args) -> int:
     corpus = load_corpus(args.input)
-    texts = [d.text for d in corpus.docs]
-    vocab = featurize.build_vocab(texts, top_n=args.top_n)
+    vocab = featurize.build_vocab(corpus.term_counts, top_n=args.top_n)
     program = cov.build_program(corpus, vocab)
     if args.solver == "exact":
         sol = cov.solve_exact(program, time_cap=args.time_cap)
@@ -356,6 +362,22 @@ COMMANDS = {
 }
 
 
+_DATA_ERRORS = (CorpusError, ModelDocumentError, cov.CoverageError, featurize.FeaturizeError,
+                rejection.RejectionError, evaluation.EvalError, FileNotFoundError)
+_NUMERIC_ERRORS = (DivergenceError, ObjectiveError, FloatingPointError)
+
+
+def _exit_code(exc: Exception) -> int | None:
+    """The documented exit code of an error, or None for an unexpected one."""
+    if isinstance(exc, UsageError):
+        return EXIT_USAGE
+    if isinstance(exc, _DATA_ERRORS):
+        return EXIT_DATA
+    if isinstance(exc, _NUMERIC_ERRORS):
+        return EXIT_NUMERIC
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
@@ -365,17 +387,12 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", None) is None:
             args.seed = _default_seed()
         return COMMANDS[args.command](args)
-    except UsageError as exc:
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CorpusError, ModelDocumentError, cov.CoverageError,
-            featurize.FeaturizeError, rejection.RejectionError,
-            evaluation.EvalError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (DivergenceError, ObjectiveError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return code
 
 
 if __name__ == "__main__":

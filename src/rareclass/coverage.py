@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledCorpus
-from .featurize import Vocabulary, tokenize
+from .featurize import Vocabulary
 
 EXACT_MAX_WORDS = 20
 EXACT_MAX_DOCS = 40
@@ -67,25 +67,17 @@ class CoverSolution:
 
 def build_program(corpus: LabeledCorpus, vocab: Vocabulary) -> CoverProgram:
     """A word covers a document iff it appears at least once."""
-    idx = vocab.index()
-
-    def occurrence_rows(doc_indices: list[int]) -> np.ndarray:
-        M = np.zeros((len(doc_indices), vocab.d), dtype=np.int8)
-        for r, i in enumerate(doc_indices):
-            for tok in set(tokenize(corpus.docs[i].text)):
-                j = idx.get(tok)
-                if j is not None:
-                    M[r, j] = 1
-        return M
-
+    row, col, _ = corpus.term_counts.entries(vocab)
+    occurs = np.zeros((corpus.n, vocab.d), dtype=np.int8)
+    occurs[row, col] = 1
     blocks = []
     for k in range(1, corpus.K + 1):
         members = corpus.subclass_indices(k)
         if not members:
             raise CoverageError(f"subclass {k} has no documents")
-        blocks.append(occurrence_rows(members))
-    N = occurrence_rows(corpus.majority_indices())
-    return CoverProgram(R_blocks=tuple(blocks), N=N, terms=vocab.terms)
+        blocks.append(occurs[members])
+    return CoverProgram(R_blocks=tuple(blocks), N=occurs[corpus.majority_indices()],
+                        terms=vocab.terms)
 
 
 def _evaluate_assignment(p: CoverProgram, assign: np.ndarray) -> CoverSolution:
@@ -121,6 +113,15 @@ def _evaluate_assignment(p: CoverProgram, assign: np.ndarray) -> CoverSolution:
         objective=obj, optimal=False)
 
 
+class _TimedOut(Exception):
+    pass
+
+
+def _bits(col: np.ndarray) -> int:
+    """The rows where col is nonzero, as the set bits of an int."""
+    return sum(1 << i for i in np.flatnonzero(col).tolist())
+
+
 def solve_exact(p: CoverProgram, max_words: int = EXACT_MAX_WORDS,
                 max_docs: int = EXACT_MAX_DOCS,
                 time_cap: float | None = None) -> CoverSolution:
@@ -130,6 +131,9 @@ def solve_exact(p: CoverProgram, max_words: int = EXACT_MAX_WORDS,
     assignment (they appear positively in the objective, so an optimal solution
     always sets them tight). Word branch order is unused, v0, v1..vK with
     strict-improvement incumbents, so ties prefer v0.
+
+    Coverage is an int bitmask with one bit per rare doc for the v_k sets (the
+    rows of R_all, block by block) followed by one bit per rare doc for v0.
     """
     d, K = p.d, p.K
     total_docs = sum(len(b) for b in p.R_blocks) + len(p.N)
@@ -140,68 +144,49 @@ def solve_exact(p: CoverProgram, max_words: int = EXACT_MAX_WORDS,
 
     start = time.monotonic()
     R_all = p.R_all
-    # suffix reachability: can any word at position >= j still cover each doc;
-    # docs that cannot must be exonerated, which feeds the lower bound early
-    can_cover_block = [
-        np.zeros((d + 1, len(b)), dtype=bool) for b in p.R_blocks]
-    can_cover_all = np.zeros((d + 1, len(R_all)), dtype=bool)
+    n_r = len(R_all)
+    offsets = np.cumsum([0] + [len(b) for b in p.R_blocks]).tolist()
+    # per word: (code, covered bits, words + alpha + beta added) for v0, v1..vK
+    choices = []
+    for j in range(d):
+        counts = [int(b[:, j].sum()) for b in p.R_blocks]
+        options = [(1, _bits(R_all[:, j]) << n_r, 1 + int(p.N[:, j].sum()))]
+        options += [(k + 2, _bits(p.R_blocks[k][:, j]) << offsets[k], 1 + sum(counts) - counts[k])
+                    for k in range(K)]
+        choices.append(options)
+    # unreach[j]: docs no word at position >= j can cover, which must be exonerated
+    unreach = [(1 << 2 * n_r) - 1] * (d + 1)
     for j in range(d - 1, -1, -1):
-        for k in range(K):
-            can_cover_block[k][j] = can_cover_block[k][j + 1] | (p.R_blocks[k][:, j] > 0)
-        can_cover_all[j] = can_cover_all[j + 1] | (R_all[:, j] > 0)
+        unreach[j] = unreach[j + 1] & ~(_bits(R_all[:, j]) * ((1 << n_r) + 1))
 
-    incumbent: dict = {"sol": None, "obj": np.inf, "timed_out": False}
-    assign = np.zeros(d, dtype=np.int8)
-    cov_blocks = [np.zeros(len(b), dtype=np.int32) for b in p.R_blocks]
-    cov_all = np.zeros(len(R_all), dtype=np.int32)
+    assign = [0] * d
+    best_obj, best_assign = math.inf, None
 
-    def lower_bound(j: int, words: int, alpha: int, beta: int) -> float:
-        # docs already impossible to cover must be exonerated
-        forced = 0
-        for k in range(K):
-            forced += int(np.count_nonzero((cov_blocks[k] == 0) & ~can_cover_block[k][j]))
-        forced += int(np.count_nonzero((cov_all == 0) & ~can_cover_all[j]))
-        return words + alpha + beta + forced
-
-    def dfs(j: int, words: int, alpha: int, beta: int) -> None:
-        if incumbent["timed_out"]:
-            return
+    def dfs(j: int, covered: int, cost: int) -> None:
+        nonlocal best_obj, best_assign
         if time_cap is not None and time.monotonic() - start > time_cap:
-            incumbent["timed_out"] = True
-            return
-        if lower_bound(j, words, alpha, beta) >= incumbent["obj"]:
+            raise _TimedOut
+        bound = cost + (unreach[j] & ~covered).bit_count()
+        if bound >= best_obj:
             return
         if j == d:
-            sol = _evaluate_assignment(p, assign)
-            if sol.objective < incumbent["obj"]:
-                incumbent["obj"] = sol.objective
-                incumbent["sol"] = sol
+            # every doc left uncovered is exonerated: the bound is the objective
+            best_obj, best_assign = bound, assign.copy()
             return
-        col_blocks = [b[:, j] > 0 for b in p.R_blocks]
-        col_all = R_all[:, j] > 0
-        col_alpha = int(p.N[:, j].sum())
-        # choice 0: unused
-        dfs(j + 1, words, alpha, beta)
-        # choice 1: assign to v0
-        assign[j] = 1
-        cov_all[col_all] += 1
-        dfs(j + 1, words + 1, alpha + col_alpha, beta)
-        cov_all[col_all] -= 1
-        # choices 2..: assign to v_k
-        for k in range(K):
-            cross = sum(int(col_blocks[kp].sum()) for kp in range(K) if kp != k)
-            assign[j] = k + 2
-            cov_blocks[k][col_blocks[k]] += 1
-            dfs(j + 1, words + 1, alpha, beta + cross)
-            cov_blocks[k][col_blocks[k]] -= 1
+        dfs(j + 1, covered, cost)
+        for code, bits, added in choices[j]:
+            assign[j] = code
+            dfs(j + 1, covered | bits, cost + added)
         assign[j] = 0
 
-    dfs(0, 0, 0, 0)
-    if incumbent["sol"] is None:
-        # every assignment pruned would be a bug; the all-unused assignment is always feasible
-        incumbent["sol"] = _evaluate_assignment(p, np.zeros(d, dtype=np.int8))
-    sol = incumbent["sol"]
-    sol.optimal = not incumbent["timed_out"]
+    try:
+        dfs(0, 0, 0)
+        timed_out = False
+    except _TimedOut:
+        timed_out = True
+    # with no incumbent (timed out at once) the all-unused assignment is always feasible
+    sol = _evaluate_assignment(p, np.array(best_assign or [0] * d, dtype=np.int8))
+    sol.optimal = not timed_out
     return sol
 
 

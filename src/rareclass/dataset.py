@@ -5,8 +5,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .featurize import TermCounts, count_terms
 
 RARE = "rare"
 MAJORITY = "majority"
@@ -66,6 +69,12 @@ class LabeledCorpus:
 
     def majority_indices(self) -> list[int]:
         return [i for i, d in enumerate(self.docs) if d.label == MAJORITY]
+
+    @cached_property
+    def term_counts(self) -> TermCounts:
+        """Every doc's text counted once, the first time a text representation
+        or the word-cover program asks for it."""
+        return count_terms([d.text for d in self.docs])
 
     def feature_matrix(self) -> np.ndarray:
         """Stack pre-built numeric features; error if any doc lacks them."""
@@ -131,7 +140,11 @@ def check_features(f) -> None:
 def _record_to_doc(rec: dict, lineno: int, name_to_id: dict[str, int]) -> Doc:
     if not isinstance(rec, dict):
         raise CorpusError(f"line {lineno}: record is not a JSON object")
-    text = rec.get("text", "")
+    text = rec.get("text")
+    if text is None:
+        text = ""
+    elif not isinstance(text, str):
+        raise CorpusError(f"line {lineno}: 'text' is not a string")
     label = rec.get("label")
     sub_name = rec.get("subclass") or None
     feats = rec.get("features")

@@ -128,6 +128,7 @@ class MetricReport:
     incomplete: bool = False
     errors: list[str] = field(default_factory=list)
     config: dict = field(default_factory=dict)
+    first_error: Exception | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -179,9 +180,9 @@ def train_document(corpus: LabeledCorpus, rows, subclasses, hp_template: dict,
         X = corpus.feature_matrix()[rows]
         descriptor, vocab, proj = {"kind": "raw", "d": X.shape[1]}, None, None
     elif representation in ("tfidf", "pca"):
-        texts = [corpus.docs[i].text for i in rows]
-        vocab = featurize.build_vocab(texts, top_n=top_n)
-        X = featurize.tfidf_transform(texts, vocab)
+        counts = corpus.term_counts.rows(rows)
+        vocab = featurize.build_vocab(counts, top_n=top_n)
+        X = featurize.tfidf_transform(counts, vocab)
         descriptor, proj = {"kind": "tfidf"}, None
         if representation == "pca":
             proj = featurize.pca_fit(X, rank=min(pca_rank, min(X.shape)))
@@ -221,7 +222,7 @@ def run_single(corpus: LabeledCorpus, hp_template: dict, cfg: trainer.TrainConfi
     if representation == "raw":
         Xte = corpus.feature_matrix()[test_order]
     else:
-        Xte = doc.featurize([{"text": corpus.docs[i].text} for i in test_order])
+        Xte = doc.text_features(corpus.term_counts.rows(test_order))
 
     decisions, _ = recognizer.predict_stream(doc, Xte)
     metrics = top_level_metrics(decisions, split)
@@ -240,6 +241,7 @@ def run_experiment(corpus: LabeledCorpus, hp_template: dict, cfg: trainer.TrainC
     """The repeated-split protocol: seeds base_seed+0..+(repetitions-1), mean +- sample sd."""
     per_seed: list[dict] = []
     errors: list[str] = []
+    first_error = None
     seeds = [base_seed + i for i in range(repetitions)]
     for seed in seeds:
         try:
@@ -249,4 +251,7 @@ def run_experiment(corpus: LabeledCorpus, hp_template: dict, cfg: trainer.TrainC
             per_seed.append(metrics)
         except Exception as exc:  # a failed repetition marks the report incomplete
             errors.append(f"seed {seed}: {exc}")
-    return aggregate(per_seed, seeds, errors, config=config_echo)
+            first_error = first_error or exc
+    report = aggregate(per_seed, seeds, errors, config=config_echo)
+    report.first_error = first_error
+    return report

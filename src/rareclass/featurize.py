@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 
@@ -88,37 +89,85 @@ class PcaProjection:
                    truncated=bool(obj.get("truncated", False)))
 
 
-def build_vocab(texts: list[str], top_n: int = 1000) -> Vocabulary:
-    """Fit a vocabulary on training texts: top_n terms by total corpus frequency, ties lexicographic."""
-    if not texts:
+@dataclass(frozen=True)
+class TermCounts:
+    """A doc x term count table in CSR form over the sorted set of its terms:
+    row i holds the ids of its distinct terms, indices[indptr[i]:indptr[i+1]],
+    with their counts. Its length is its document count."""
+    terms: tuple[str, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def rows(self, rows) -> "TermCounts":
+        """The table of the given rows, in that order, over the same terms."""
+        rows = np.asarray(rows, dtype=np.intp)
+        starts, lengths = self.indptr[rows], np.diff(self.indptr)[rows]
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        pos = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return TermCounts(self.terms, indptr, self.indices[pos], self.counts[pos])
+
+    def entries(self, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, vocabulary column, count) of each entry whose term is in vocab."""
+        idx = vocab.index()
+        col = np.array([idx.get(t, -1) for t in self.terms], dtype=np.intp)[self.indices]
+        row = np.repeat(np.arange(len(self)), np.diff(self.indptr))
+        keep = col >= 0
+        return row[keep], col[keep], self.counts[keep]
+
+
+def count_terms(texts) -> TermCounts:
+    """Tokenize each text once into a TermCounts table. Each text's counts are
+    appended as it is read, so the corpus's tokens are never all held at once."""
+    ids: dict[str, int] = {}                     # term -> id in first-appearance order
+    indices, counts, lengths = array("i"), array("i"), array("q")
+    for text in texts:
+        row = Counter(tokenize(text))
+        indices.extend([ids.setdefault(t, len(ids)) for t in row])
+        counts.extend(row.values())
+        lengths.append(len(row))
+    terms = sorted(ids)
+    sorted_id = np.empty(len(terms), dtype=np.int32)
+    sorted_id[[ids[t] for t in terms]] = np.arange(len(terms))
+    return TermCounts(tuple(terms), np.concatenate(([0], np.cumsum(lengths))),
+                      sorted_id[np.asarray(indices)], np.asarray(counts))
+
+
+def _as_counts(docs) -> TermCounts:
+    return docs if isinstance(docs, TermCounts) else count_terms(docs)
+
+
+def build_vocab(docs, top_n: int = 1000) -> Vocabulary:
+    """Fit a vocabulary on training texts (or their TermCounts): top_n terms by
+    total corpus frequency, ties lexicographic."""
+    if not len(docs):
         raise FeaturizeError("empty training set")
     if top_n < 1:
         raise FeaturizeError("top_n must be >= 1")
-    freq: Counter[str] = Counter()
-    df: Counter[str] = Counter()
-    for text in texts:
-        toks = tokenize(text)
-        freq.update(toks)
-        df.update(set(toks))
-    if not freq:
+    table = _as_counts(docs)
+    freq = np.bincount(table.indices, weights=table.counts, minlength=len(table.terms))
+    # term ids are in sorted order, so a stable sort keeps ties lexicographic
+    order = np.argsort(-freq, kind="stable")[:min(top_n, int(np.count_nonzero(freq)))]
+    if not len(order):
         raise FeaturizeError("empty effective vocabulary")
-    terms = tuple(sorted(freq, key=lambda t: (-freq[t], t))[:top_n])
-    return Vocabulary(terms=terms, df=tuple(df[t] for t in terms), n_docs_fitted=len(texts))
+    df = np.bincount(table.indices, minlength=len(table.terms))
+    return Vocabulary(terms=tuple(table.terms[j] for j in order.tolist()),
+                      df=tuple(df[order].tolist()), n_docs_fitted=len(table))
 
 
-def tfidf_transform(texts: list[str], vocab: Vocabulary) -> np.ndarray:
-    """tf * ln((1+n)/(1+df)) with L2 row normalization; OOV terms contribute 0."""
-    idx = vocab.index()
+def tfidf_transform(docs, vocab: Vocabulary) -> np.ndarray:
+    """tf * ln((1+n)/(1+df)) with L2 row normalization over texts (or their
+    TermCounts); OOV terms contribute 0."""
+    table = _as_counts(docs)
     idf = np.log((1.0 + vocab.n_docs_fitted) / (1.0 + np.asarray(vocab.df, dtype=np.float64)))
-    X = np.zeros((len(texts), vocab.d))
-    for i, text in enumerate(texts):
-        for tok, cnt in Counter(tokenize(text)).items():
-            j = idx.get(tok)
-            if j is not None:
-                X[i, j] = cnt * idf[j]
-        norm = np.linalg.norm(X[i])
-        if norm > 0:
-            X[i] /= norm
+    X = np.zeros((len(table), vocab.d))
+    row, col, cnt = table.entries(vocab)
+    X[row, col] = cnt * idf[col]
+    norms = np.array([np.linalg.norm(x) for x in X])
+    X /= np.where(norms > 0, norms, 1.0)[:, None]
     return X
 
 

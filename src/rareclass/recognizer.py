@@ -13,7 +13,8 @@ from typing import Iterable
 import numpy as np
 
 from .dataset import CorpusError, check_features
-from .featurize import PcaProjection, Vocabulary, tfidf_transform, pca_transform
+from .featurize import (PcaProjection, TermCounts, Vocabulary, count_terms, pca_transform,
+                        tfidf_transform)
 from .objective import ModelParams
 from .rejection import RejectionThresholds
 
@@ -139,9 +140,14 @@ class ModelDocument:
         if len(text_rows) < n:
             feature_rows = [i for i, r in enumerate(records) if "features" in r]
             X[feature_rows] = self._features([records[i]["features"] for i in feature_rows])
-        T = tfidf_transform([records[i].get("text", "") for i in text_rows], self.vocab)
-        X[text_rows] = pca_transform(T, self.projection) if self.representation["kind"] == "pca" else T
+        X[text_rows] = self.text_features(count_terms([records[i].get("text", "") for i in text_rows]))
         return X
+
+    def text_features(self, counts: TermCounts) -> np.ndarray:
+        """The model's text representation (tf-idf, then the PCA projection for
+        a pca model) of counted documents."""
+        T = tfidf_transform(counts, self.vocab)
+        return pca_transform(T, self.projection) if self.representation["kind"] == "pca" else T
 
     def _features(self, rows: list) -> np.ndarray:
         try:
@@ -274,7 +280,7 @@ def load(path) -> ModelDocument:
             W=np.asarray(doc["params"]["W"], dtype=np.float64).reshape(doc["K"], doc["d"]),
             b=np.asarray(doc["params"]["b"], dtype=np.float64),
         )
-        return ModelDocument(
+        model = ModelDocument(
             version=int(doc["version"]),
             d=int(doc["d"]),
             K=int(doc["K"]),
@@ -289,3 +295,10 @@ def load(path) -> ModelDocument:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelDocumentError(f"corrupt model document: {exc}") from exc
+    # a text model built in code may get its vocabulary later; a file must carry it
+    kind = model.representation["kind"]
+    if kind != "raw" and model.vocab is None:
+        raise ModelDocumentError(f"{kind} model document has no vocabulary")
+    if kind == "pca" and model.projection is None:
+        raise ModelDocumentError("pca model document has no projection")
+    return model

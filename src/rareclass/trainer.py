@@ -15,7 +15,7 @@ from .objective import (
 
 
 class DivergenceError(RuntimeError):
-    """Loss exploded past the divergence guard."""
+    """Loss exploded past the divergence guard, or is not finite."""
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,8 @@ def fit(data: BoundData, hp: Hyperparams, cfg: TrainConfig = TrainConfig(),
         loss_trace.append(loss)
         if iterates is not None:
             iterates.append(ModelParams.from_flat(theta, d, K))
+        if not np.isfinite(loss):
+            raise DivergenceError(f"non-finite loss {loss} at iter {it}")
         if initial_loss is None:
             initial_loss = max(loss, 1e-12)
         if loss > 1e6 * initial_loss:

@@ -225,3 +225,123 @@ def run_single_by_hand(corpus, hp_template, cfg, seed, rep, pca_rank, reject_met
     subclass_of = {i: remap.get(corpus.docs[i].subclass or 0, 0) for i in split.test_seen}
     metrics["acc_rare"] = acc_rare(confusion_table(decisions, split, subclass_of))
     return metrics
+
+
+def build_vocab_by_hand(texts, top_n=1000):
+    """The per-text vocabulary fit the count table replaced, kept as its reference."""
+    from collections import Counter
+    from rareclass.featurize import FeaturizeError, Vocabulary, tokenize
+    if not texts:
+        raise FeaturizeError("empty training set")
+    freq, df = Counter(), Counter()
+    for text in texts:
+        toks = tokenize(text)
+        freq.update(toks)
+        df.update(set(toks))
+    if not freq:
+        raise FeaturizeError("empty effective vocabulary")
+    terms = tuple(sorted(freq, key=lambda t: (-freq[t], t))[:top_n])
+    return Vocabulary(terms=terms, df=tuple(df[t] for t in terms), n_docs_fitted=len(texts))
+
+
+def tfidf_by_hand(texts, vocab):
+    """The per-text tf-idf loop the count table replaced, kept as its reference."""
+    from collections import Counter
+    from rareclass.featurize import tokenize
+    idx = vocab.index()
+    idf = np.log((1.0 + vocab.n_docs_fitted) / (1.0 + np.asarray(vocab.df, dtype=np.float64)))
+    X = np.zeros((len(texts), vocab.d))
+    for i, text in enumerate(texts):
+        for tok, cnt in Counter(tokenize(text)).items():
+            j = idx.get(tok)
+            if j is not None:
+                X[i, j] = cnt * idf[j]
+        norm = np.linalg.norm(X[i])
+        if norm > 0:
+            X[i] /= norm
+    return X
+
+
+def build_program_by_hand(corpus, vocab):
+    """The per-doc occurrence loop build_program replaced, kept as its reference."""
+    from rareclass.coverage import CoverProgram
+    from rareclass.featurize import tokenize
+    idx = vocab.index()
+
+    def occurrence_rows(doc_indices):
+        M = np.zeros((len(doc_indices), vocab.d), dtype=np.int8)
+        for r, i in enumerate(doc_indices):
+            for tok in set(tokenize(corpus.docs[i].text)):
+                j = idx.get(tok)
+                if j is not None:
+                    M[r, j] = 1
+        return M
+
+    blocks = tuple(occurrence_rows(corpus.subclass_indices(k)) for k in range(1, corpus.K + 1))
+    return CoverProgram(R_blocks=blocks, N=occurrence_rows(corpus.majority_indices()),
+                        terms=vocab.terms)
+
+
+def solve_exact_by_hand(p, time_cap=None):
+    """The array-based branch-and-bound the bitmask solve_exact replaced, kept
+    as its reference: same branch order, bound, incumbent rule and time check."""
+    import time
+    from rareclass.coverage import _evaluate_assignment
+    d, K = p.d, p.K
+    start = time.monotonic()
+    R_all = p.R_all
+    can_cover_block = [np.zeros((d + 1, len(b)), dtype=bool) for b in p.R_blocks]
+    can_cover_all = np.zeros((d + 1, len(R_all)), dtype=bool)
+    for j in range(d - 1, -1, -1):
+        for k in range(K):
+            can_cover_block[k][j] = can_cover_block[k][j + 1] | (p.R_blocks[k][:, j] > 0)
+        can_cover_all[j] = can_cover_all[j + 1] | (R_all[:, j] > 0)
+
+    incumbent = {"sol": None, "obj": np.inf, "timed_out": False}
+    assign = np.zeros(d, dtype=np.int8)
+    cov_blocks = [np.zeros(len(b), dtype=np.int32) for b in p.R_blocks]
+    cov_all = np.zeros(len(R_all), dtype=np.int32)
+
+    def lower_bound(j, words, alpha, beta):
+        forced = 0
+        for k in range(K):
+            forced += int(np.count_nonzero((cov_blocks[k] == 0) & ~can_cover_block[k][j]))
+        forced += int(np.count_nonzero((cov_all == 0) & ~can_cover_all[j]))
+        return words + alpha + beta + forced
+
+    def dfs(j, words, alpha, beta):
+        if incumbent["timed_out"]:
+            return
+        if time_cap is not None and time.monotonic() - start > time_cap:
+            incumbent["timed_out"] = True
+            return
+        if lower_bound(j, words, alpha, beta) >= incumbent["obj"]:
+            return
+        if j == d:
+            sol = _evaluate_assignment(p, assign)
+            if sol.objective < incumbent["obj"]:
+                incumbent["obj"] = sol.objective
+                incumbent["sol"] = sol
+            return
+        col_blocks = [b[:, j] > 0 for b in p.R_blocks]
+        col_all = R_all[:, j] > 0
+        col_alpha = int(p.N[:, j].sum())
+        dfs(j + 1, words, alpha, beta)
+        assign[j] = 1
+        cov_all[col_all] += 1
+        dfs(j + 1, words + 1, alpha + col_alpha, beta)
+        cov_all[col_all] -= 1
+        for k in range(K):
+            cross = sum(int(col_blocks[kp].sum()) for kp in range(K) if kp != k)
+            assign[j] = k + 2
+            cov_blocks[k][col_blocks[k]] += 1
+            dfs(j + 1, words + 1, alpha, beta + cross)
+            cov_blocks[k][col_blocks[k]] -= 1
+        assign[j] = 0
+
+    dfs(0, 0, 0, 0)
+    if incumbent["sol"] is None:
+        incumbent["sol"] = _evaluate_assignment(p, np.zeros(d, dtype=np.int8))
+    sol = incumbent["sol"]
+    sol.optimal = not incumbent["timed_out"]
+    return sol

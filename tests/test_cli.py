@@ -1,13 +1,14 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import run_single_by_hand, text_feature_corpus, train_by_hand
-from rareclass import cli
+from rareclass import cli, featurize, trainer
 from rareclass.cli import (
     EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, bench_timings, build_parser, main,
 )
@@ -219,7 +220,7 @@ class TestPredictStreaming:
                      "--reject", "percentile", "--out", model_path]) == EXIT_OK
         model = load(model_path)
         rng = np.random.default_rng(2)
-        texts = [json.loads(l)["text"] for l in open(text_file)]
+        texts = [json.loads(l)["text"] for l in Path(text_file).read_text().splitlines()]
         records = []
         for i, text in enumerate(texts):
             records.append({"text": text})
@@ -284,7 +285,7 @@ class TestEvaluate:
                 "--reject", "percentile"]
         assert main(args + ["--out", out1]) == EXIT_OK
         assert main(args + ["--out", out2]) == EXIT_OK
-        r1, r2 = json.loads(open(out1).read()), json.loads(open(out2).read())
+        r1, r2 = json.loads(Path(out1).read_text()), json.loads(Path(out2).read_text())
         r1["config"].pop("out"), r2["config"].pop("out")
         assert r1 == r2
         report = r1
@@ -299,7 +300,7 @@ class TestEvaluate:
         rc = main(["--config", str(conf), "evaluate", "--input", synth_file,
                    "--out", out])
         assert rc == EXIT_OK
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         assert report["seeds"] == [3]
         assert report["config"]["iters"] == 40
 
@@ -311,7 +312,7 @@ class TestEvaluate:
         rc = main(["--config", str(conf), "evaluate", "--input", synth_file,
                    "--reps", "1", "--out", out])
         assert rc == EXIT_OK
-        assert len(json.loads(open(out).read())["per_seed"]) == 1
+        assert len(json.loads(Path(out).read_text())["per_seed"]) == 1
 
     def test_unknown_config_key_rejected(self, tmp_path, synth_file):
         conf = tmp_path / "conf.json"
@@ -361,6 +362,20 @@ class TestPipelineCommands:
             run_single_by_hand(corpus, PIPELINE_HP, cfg, seed, rep, rank, EVT_POT, 0.05)
             for seed in (5, 6)]
 
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--rep", "tfidf1k", *PIPELINE_FLAGS, "--reps", "3"],
+        ["evaluate", "--rep", "pca:4", *PIPELINE_FLAGS, "--reps", "3"],
+        ["coverage", "--solver", "greedy", "--top-n", "12"],
+    ], ids=["evaluate-tfidf", "evaluate-pca", "coverage"])
+    def test_each_document_tokenized_once(self, tmp_path, text_feature_file, monkeypatch,
+                                          argv):
+        calls = []
+        tokenize = featurize.tokenize
+        monkeypatch.setattr(featurize, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        assert main([argv[0], "--input", text_feature_file, "--out", str(tmp_path / "r.json"),
+                     *argv[1:]]) == EXIT_OK
+        assert len(calls) == load_corpus(text_feature_file).n
+
 
 def _drop_last_term(vocab):
     vocab["terms"].pop()
@@ -397,6 +412,55 @@ class TestInputChecks:
         assert rc == EXIT_DATA
         assert "line 4: " in err and message in err and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--rep", "tfidf1k", "--iters", "5", "--reject", "percentile"],
+        ["coverage", "--top-n", "5"],
+    ], ids=["train-tfidf", "coverage"])
+    def test_non_string_text_is_data_error_naming_its_line(self, tmp_path, capsys, argv):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"text": "flood water", "label": "rare", "subclass": "a"}\n\n'
+                          '{"text": "calm day", "label": "majority"}\n'
+                          '{"text": 5, "label": "majority"}\n'
+                          '{"text": "flood rain", "label": "rare", "subclass": "a"}\n')
+        rc = main([argv[0], "--input", str(corpus), "--out", str(tmp_path / "o.json"), *argv[1:]])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert "line 4: 'text' is not a string" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+
+    def test_null_text_reads_as_empty(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"text": null, "label": "rare", "subclass": "a", "features": [1, 1]}\n'
+                          '{"label": "rare", "subclass": "a", "features": [1, 0]}\n'
+                          '{"text": null, "label": "majority", "features": [0, 0]}\n'
+                          '{"text": null, "label": "majority", "features": [0, 1]}\n')
+        assert [d.text for d in load_corpus(corpus).docs] == ["", "", "", ""]
+        assert main(["train", "--input", str(corpus), "--rep", "raw", "--iters", "5",
+                     "--reject", "percentile", "--out", str(tmp_path / "m.json")]) == EXIT_OK
+
+    @pytest.mark.parametrize("flag, key, message", [
+        ("tfidf1k", "vocab", "tfidf model document has no vocabulary"),
+        ("pca:4", "vocab", "pca model document has no vocabulary"),
+        ("pca:4", "projection", "pca model document has no projection"),
+    ], ids=["tfidf-vocab", "pca-vocab", "pca-projection"])
+    def test_text_model_without_representation_is_data_error_at_load(
+            self, tmp_path, text_feature_file, capsys, flag, key, message):
+        model = tmp_path / "model.json"
+        assert main(["train", "--input", text_feature_file, "--rep", flag, *PIPELINE_FLAGS,
+                     "--reject", "percentile", "--out", str(model)]) == EXIT_OK
+        doc = json.loads(model.read_text())
+        doc[key] = None
+        model.write_text(json.dumps(doc))
+        stream = tmp_path / "s.jsonl"
+        stream.write_text('{"text": "baa bab tbb sbb"}\n')
+        out = tmp_path / "d.jsonl"
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model), "--input", str(stream), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, corrupt, message", [
         ("tfidf1k", lambda doc: _drop_last_term(doc["vocab"]), "vocabulary size"),
@@ -439,9 +503,9 @@ class TestCoverage:
                    "--top-n", "12", "--out", out, "--words-csv", csv_out])
         assert rc == EXIT_OK
         assert "objective=" in capsys.readouterr().out
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         assert "general" in report and len(report["subclasses"]) == 2
-        assert open(csv_out).readline().startswith("set,term")
+        assert Path(csv_out).read_text().startswith("set,term")
 
     def test_no_cross_coverage_ratio_written_as_null(self, tmp_path, text_file):
         # "flood" and "fire" each occur in one subclass only: their ratio is infinite
@@ -449,7 +513,7 @@ class TestCoverage:
         rc = main(["coverage", "--input", text_file, "--solver", "greedy",
                    "--top-n", "12", "--out", out])
         assert rc == EXIT_OK
-        report = json.loads(open(out).read(), parse_constant=_reject_constant)
+        report = json.loads(Path(out).read_text(), parse_constant=_reject_constant)
         ratios = [e["ratio"] for sc in report["subclasses"] for e in sc["words"]]
         assert None in ratios
 
@@ -458,7 +522,7 @@ class TestCoverage:
         rc = main(["coverage", "--input", text_file, "--solver", "exact",
                    "--top-n", "10", "--out", out])
         assert rc == EXIT_OK
-        assert json.loads(open(out).read())["optimal"] is True
+        assert json.loads(Path(out).read_text())["optimal"] is True
 
 
 class TestSynthAndBench:
@@ -468,7 +532,7 @@ class TestSynthAndBench:
                    "--docs-per-subclass", "5", "--majority-docs", "8",
                    "--separation", "3", "--seed", "1"])
         assert rc == EXIT_OK
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 2 * 5 + 8
 
     def test_bench_timings_structure(self):
@@ -483,7 +547,7 @@ class TestSynthAndBench:
         rc = main(["bench", "--n", "80", "--d", "10", "--k", "2",
                    "--iters", "5", "--out", out])
         assert rc == EXIT_OK
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text())
         assert len(payload["timings"]) == 3 and len(payload["ratios"]) == 2
         assert payload["config"]["d"] == 10
 
@@ -507,6 +571,27 @@ class TestErrorsAndSeeds:
         assert rc == EXIT_NUMERIC
         assert not (tmp_path / "m.json").exists()    # no partial output
 
+    def test_nan_loss_is_numeric_error(self, synth_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(trainer, "_loss", lambda *args: math.nan)
+        rc = main(["train", "--input", synth_file, "--rep", "raw", "--iters", "20",
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == EXIT_NUMERIC
+        assert "non-finite loss nan at iter 0" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_evaluate_with_every_repetition_failed(self, tmp_path, capsys):
+        corpus = tmp_path / "k1.jsonl"           # K = 1: no subclass can be held out
+        corpus.write_text('{"label": "rare", "subclass": "a", "features": [1, 1]}\n'
+                          '{"label": "rare", "subclass": "a", "features": [1, 0]}\n'
+                          '{"label": "majority", "features": [0, 0]}\n')
+        out = tmp_path / "r.json"
+        rc = main(["evaluate", "--input", str(corpus), "--rep", "raw", "--reps", "2",
+                   "--seed", "4", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert "seed 4: K < 2: cannot hold out" in err and "seed 5: " in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_bad_rep_is_usage_error(self, synth_file, tmp_path):
         rc = main(["train", "--input", synth_file, "--rep", "wavelet",
                    "--out", str(tmp_path / "m.json")])
@@ -519,7 +604,7 @@ class TestErrorsAndSeeds:
                    "--iters", "40", "--reps", "1", "--reject", "percentile",
                    "--out", out])
         assert rc == EXIT_OK
-        assert json.loads(open(out).read())["seeds"] == [11]
+        assert json.loads(Path(out).read_text())["seeds"] == [11]
 
     def test_parser_requires_command(self, capsys):
         with pytest.raises(SystemExit):

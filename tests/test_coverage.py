@@ -1,12 +1,16 @@
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import build_program_by_hand, solve_exact_by_hand
 from rareclass.coverage import (
     CoverProgram, CoverageError, build_program, check_feasible, coverage_report,
     enumerate_exact, report_text, report_words_csv, solve_exact, solve_greedy,
 )
 from rareclass.dataset import Doc, LabeledCorpus, MAJORITY, RARE
-from rareclass.featurize import Vocabulary
+from rareclass.featurize import FeaturizeError, Vocabulary, build_vocab
 
 
 def vocab_of(terms):
@@ -235,3 +239,64 @@ class TestReports:
         csv_out = report_words_csv(report)
         assert csv_out.splitlines()[0] == "set,term,within_coverage,cross_coverage,ratio"
         assert len(csv_out.splitlines()) >= 2
+
+
+@st.composite
+def programs(draw):
+    """Random programs within d <= 8, K 1-3 and at most 40 documents."""
+    K = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 8))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=K, max_size=K))
+    majority = draw(st.integers(0, min(12, 40 - sum(sizes))))
+    density = draw(st.sampled_from([0.1, 0.35, 0.6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = tuple((rng.random((n, d)) < density).astype(np.int8) for n in sizes)
+    N = (rng.random((majority, d)) < density).astype(np.int8)
+    return CoverProgram(R_blocks=blocks, N=N, terms=tuple(f"t{chr(97 + j)}" for j in range(d)))
+
+
+class TestBitmaskSearch:
+    """solve_exact against the array-based search it replaced (conftest) and
+    against enumeration."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=programs())
+    def test_same_solution_as_reference(self, p):
+        sol = solve_exact(p)
+        assert sol == solve_exact_by_hand(p)
+        assert sol.optimal and sol.objective == enumerate_exact(p)
+
+    @settings(max_examples=20, deadline=None)
+    @given(p=programs())
+    def test_zero_time_cap(self, p):
+        sol = solve_exact(p, time_cap=0)
+        assert sol == solve_exact_by_hand(p, time_cap=0)
+        assert not sol.optimal and not any(sol.word_sets())
+
+    def test_wider_instance_matches_reference(self):
+        rng = np.random.default_rng(4)
+        p = random_program(rng, d=9, K=2, docs_per_block=6, majority_docs=16)
+        assert solve_exact(p) == solve_exact_by_hand(p)
+
+
+TOPICS = ["flood", "fire", "quake", "storm", "market", "river", "smoke", "calm", "news", "ÉtÉ"]
+
+
+class TestProgramFromCounts:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), K=st.integers(1, 3), top_n=st.integers(1, 12))
+    def test_matches_per_doc_reference(self, data, K, top_n):
+        text = st.lists(st.sampled_from(TOPICS + ["x", "42"]), max_size=6).map(" ".join)
+        docs = [Doc(data.draw(text), RARE, k) for k in range(1, K + 1)]
+        docs += [Doc(data.draw(text), RARE, data.draw(st.integers(1, K)))
+                 for _ in range(data.draw(st.integers(0, 6)))]
+        docs += [Doc(data.draw(text), MAJORITY) for _ in range(data.draw(st.integers(0, 6)))]
+        corpus = LabeledCorpus(docs=tuple(docs), K=K)
+        vocabs = [vocab_of(TOPICS[:top_n] + ["absent"])]
+        with contextlib.suppress(FeaturizeError):      # every text may be empty
+            vocabs.append(build_vocab(corpus.term_counts, top_n=top_n))
+        for vocab in vocabs:
+            p, ref = build_program(corpus, vocab), build_program_by_hand(corpus, vocab)
+            assert p.terms == ref.terms
+            for M, R in zip((*p.R_blocks, p.N), (*ref.R_blocks, ref.N)):
+                assert M.dtype == R.dtype and M.tobytes() == R.tobytes() and M.shape == R.shape

@@ -3,10 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import build_vocab_by_hand, tfidf_by_hand
 from rareclass.featurize import (
-    FeaturizeError, PcaProjection, Vocabulary, build_vocab, pca_fit, pca_transform,
-    tfidf_transform, tokenize,
+    FeaturizeError, PcaProjection, TermCounts, Vocabulary, build_vocab, count_terms, pca_fit,
+    pca_transform, tfidf_transform, tokenize,
 )
 
 
@@ -157,3 +159,68 @@ class TestSerialization:
         obj = json.loads('{"version": 99, "terms": [], "df": [], "n_docs_fitted": 0}')
         with pytest.raises(FeaturizeError, match="version"):
             Vocabulary.from_json(obj)
+
+
+# few distinct words, so frequencies tie often; words with letters in the
+# À-ɏ range, capitals, digits, punctuation and one-letter tokens; empty texts
+_WORDS = ["aa", "bb", "cc", "dd", "Aa", "ée", "àß", "ɏɏ", "zé", "x", "q7q", "b-b", "ab.cd", "Ωmm"]
+TEXTS = st.one_of(
+    st.lists(st.sampled_from(_WORDS), max_size=8).map(" ".join),
+    st.text(alphabet="abÀÿĀɏɐ Z9-", max_size=12))
+# texts made only of words a vocabulary fitted on TEXTS can never hold
+OOV_TEXTS = st.lists(st.sampled_from(["qq", "ww", "Ωa", "zz7z"]), max_size=4).map(" ".join)
+
+
+class TestCountTable:
+    """build_vocab and tfidf_transform over a TermCounts table against the
+    per-text loops they replaced (conftest)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(TEXTS, min_size=1, max_size=12),
+           other=st.lists(st.one_of(TEXTS, OOV_TEXTS), max_size=5),
+           top_n=st.integers(1, 40))
+    def test_matches_per_text_reference(self, texts, other, top_n):
+        try:
+            expected = build_vocab_by_hand(texts, top_n)
+        except FeaturizeError as exc:
+            with pytest.raises(FeaturizeError, match=str(exc)):
+                build_vocab(texts, top_n)
+            return
+        vocab = build_vocab(texts, top_n)
+        assert vocab == expected
+        for docs in (texts, other + texts, other):
+            X = tfidf_transform(docs, vocab)
+            assert X.shape == (len(docs), vocab.d)
+            assert X.tobytes() == tfidf_by_hand(docs, vocab).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(texts=st.lists(TEXTS, min_size=1, max_size=12), data=st.data(),
+           top_n=st.integers(1, 40))
+    def test_row_subset_matches_reference(self, texts, data, top_n):
+        rows = data.draw(st.lists(st.integers(0, len(texts) - 1), min_size=1, max_size=12))
+        subset = [texts[i] for i in rows]
+        counts = count_terms(texts).rows(rows)
+        assert len(counts) == len(rows)
+        try:
+            expected = build_vocab_by_hand(subset, top_n)
+        except FeaturizeError:
+            with pytest.raises(FeaturizeError):
+                build_vocab(counts, top_n)
+            return
+        vocab = build_vocab(counts, top_n)
+        assert vocab == expected
+        assert tfidf_transform(counts, vocab).tobytes() == tfidf_by_hand(subset, vocab).tobytes()
+
+    def test_table_layout(self):
+        table = count_terms(["bb aa bb", "", "cc 1 aa"])
+        assert isinstance(table, TermCounts) and len(table) == 3
+        assert table.terms == ("aa", "bb", "cc")
+        assert table.indptr.tolist() == [0, 2, 2, 4]
+        rows = [dict(zip(table.indices[a:b].tolist(), table.counts[a:b].tolist()))
+                for a, b in zip(table.indptr[:-1], table.indptr[1:])]
+        assert rows == [{0: 1, 1: 2}, {}, {0: 1, 2: 1}]
+        assert len(count_terms([])) == 0
+
+    def test_top_n_above_term_count(self):
+        vocab = build_vocab(["aa bb", "bb"], top_n=50)
+        assert vocab.terms == ("bb", "aa") and vocab.df == (2, 1)

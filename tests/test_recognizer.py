@@ -338,6 +338,7 @@ class TestPersistence:
                            thresholds=[0.0],
                            representation={"kind": "pca", "rank": 2})
         model.projection = proj
+        model.vocab = build_vocab(["aa bb cc dd ee"])    # a pca file carries its vocabulary
         f = tmp_path / "model.json"
         save(model, f)
         back = load(f)

@@ -84,6 +84,21 @@ class TestFit:
         with pytest.raises(DivergenceError):
             fit(data, hp, TrainConfig(max_iters=2000, step_size=1e4, step_decay="fixed"))
 
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_nan_loss_is_divergence(self, monkeypatch, at):
+        # NaN fails every comparison, so a NaN loss must be caught as such,
+        # whether it is the first loss or a later one
+        import rareclass.trainer as trainer_module
+        real_loss, calls = trainer_module._loss, []
+
+        def loss(*args):
+            calls.append(None)
+            return float("nan") if len(calls) > at else real_loss(*args)
+        monkeypatch.setattr(trainer_module, "_loss", loss)
+        data = synthetic_bound_data(seed=6)
+        with pytest.raises(DivergenceError, match=f"non-finite loss nan at iter {at}"):
+            fit(data, Hyperparams.uniform(2), TrainConfig(max_iters=20, tol=1e-15))
+
     def test_progress_lines(self, capsys):
         data = synthetic_bound_data(seed=7)
         fit(data, Hyperparams.uniform(2), TrainConfig(max_iters=20, log_every=10, tol=1e-15))
