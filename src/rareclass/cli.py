@@ -16,7 +16,7 @@ import numpy as np
 from . import coverage as cov
 from . import evaluation, featurize, recognizer, rejection, trainer
 from .dataset import (CorpusError, RARE, SyntheticConfig, gen_synthetic,
-                      load_corpus, save_corpus)
+                      load_corpus, read_jsonl, save_corpus)
 from .objective import Hyperparams, ObjectiveError, bind_data
 from .recognizer import KNOWN, Decision, ModelDocument, ModelDocumentError
 from .trainer import DivergenceError, TrainConfig
@@ -132,8 +132,13 @@ def _merge_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespa
     """Config-file values fill in flags the user did not pass explicitly."""
     if not args.config:
         return args
-    with open(args.config, encoding="utf-8") as fh:
-        conf = json.load(fh)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            conf = json.load(fh)
+    except (OSError, ValueError) as exc:            # unreadable, or not JSON
+        raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
+    if not isinstance(conf, dict):
+        raise UsageError(f"config file {args.config} is not a JSON object")
     known = set(vars(args))
     unknown = [k for k in conf if k.replace("-", "_") not in known]
     if unknown:
@@ -194,22 +199,15 @@ def _record_chunks(path: str, model: ModelDocument):
     """The stream's records, each checked against the model as it is read,
     PREDICT_CHUNK at a time. Blank lines are skipped; errors name the line in the file."""
     chunk = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {lineno}: invalid json ({exc.msg})") from exc
-            try:
-                model.check_record(rec)
-            except ModelDocumentError as exc:
-                raise CorpusError(f"line {lineno}: {exc}") from exc
-            chunk.append(rec)
-            if len(chunk) == PREDICT_CHUNK:
-                yield chunk
-                chunk = []
+    for lineno, rec in read_jsonl(path):
+        try:
+            model.check_record(rec)
+        except ModelDocumentError as exc:
+            raise CorpusError(f"line {lineno}: {exc}") from exc
+        chunk.append(rec)
+        if len(chunk) == PREDICT_CHUNK:
+            yield chunk
+            chunk = []
     if chunk:
         yield chunk
 
@@ -234,6 +232,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.reps < 1:
+        raise UsageError(f"--reps must be at least 1, got {args.reps}")
     corpus = load_corpus(args.input)
     rep, pca_rank = _parse_rep(args.rep)
     report = evaluation.run_experiment(
@@ -363,7 +363,8 @@ COMMANDS = {
 
 
 _DATA_ERRORS = (CorpusError, ModelDocumentError, cov.CoverageError, featurize.FeaturizeError,
-                rejection.RejectionError, evaluation.EvalError, FileNotFoundError)
+                rejection.RejectionError, evaluation.EvalError, FileNotFoundError,
+                IsADirectoryError)
 _NUMERIC_ERRORS = (DivergenceError, ObjectiveError, FloatingPointError)
 
 

@@ -137,35 +137,50 @@ def check_features(f) -> None:
         raise CorpusError("'features' has an integer beyond the float range")
 
 
-def _record_to_doc(rec: dict, lineno: int, name_to_id: dict[str, int]) -> Doc:
-    if not isinstance(rec, dict):
-        raise CorpusError(f"line {lineno}: record is not a JSON object")
+def record_text(rec: dict) -> str:
+    """A record's `text`: absent or null reads as ""; anything but a string is a CorpusError."""
     text = rec.get("text")
-    if text is None:
-        text = ""
-    elif not isinstance(text, str):
-        raise CorpusError(f"line {lineno}: 'text' is not a string")
+    if text is not None and not isinstance(text, str):
+        raise CorpusError("'text' is not a string")
+    return text or ""
+
+
+def read_jsonl(path):
+    """(line number from 1, parsed record) for each non-blank line of a jsonl
+    file; a line that is not JSON is a CorpusError naming it."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"line {lineno}: invalid json ({exc.msg})") from exc
+            yield lineno, rec
+
+
+def _record_to_doc(rec: dict, name_to_id: dict[str, int]) -> Doc:
+    if not isinstance(rec, dict):
+        raise CorpusError("record is not a JSON object")
+    text = record_text(rec)
     label = rec.get("label")
     sub_name = rec.get("subclass") or None
     feats = rec.get("features")
     if feats is not None:
-        try:
-            check_features(feats)
-        except CorpusError as exc:
-            raise CorpusError(f"line {lineno}: {exc}") from None
+        check_features(feats)
         feats = np.asarray(feats, dtype=np.float64)
         if not np.isfinite(feats).all():
-            raise CorpusError(f"line {lineno}: 'features' has a non-finite entry")
+            raise CorpusError("'features' has a non-finite entry")
     if label == RARE:
         if sub_name is None:
-            raise CorpusError(f"line {lineno}: rare doc missing subclass")
+            raise CorpusError("rare doc missing subclass")
         sid = name_to_id.setdefault(str(sub_name), len(name_to_id) + 1)
         return Doc(text=text, label=RARE, subclass=sid, features=feats)
     if label == MAJORITY:
         if sub_name is not None:
-            raise CorpusError(f"line {lineno}: majority doc carries subclass")
+            raise CorpusError("majority doc carries subclass")
         return Doc(text=text, label=MAJORITY, features=feats)
-    raise CorpusError(f"line {lineno}: label must be 'rare' or 'majority', got {label!r}")
+    raise CorpusError(f"label must be 'rare' or 'majority', got {label!r}")
 
 
 def load_corpus(path, format: str = "jsonl", corpus_id: str = "") -> LabeledCorpus:
@@ -176,25 +191,21 @@ def load_corpus(path, format: str = "jsonl", corpus_id: str = "") -> LabeledCorp
 
     def add(rec, lineno: int) -> None:
         nonlocal d
-        doc = _record_to_doc(rec, lineno, name_to_id)
-        if doc.features is not None:
-            if d is None:
-                d = len(doc.features)
-            elif len(doc.features) != d:
-                raise CorpusError(
-                    f"line {lineno}: feature dimension {len(doc.features)} != {d} of the first features row")
+        try:
+            doc = _record_to_doc(rec, name_to_id)
+            if doc.features is not None:
+                if d is None:
+                    d = len(doc.features)
+                elif len(doc.features) != d:
+                    raise CorpusError(
+                        f"feature dimension {len(doc.features)} != {d} of the first features row")
+        except CorpusError as exc:
+            raise CorpusError(f"line {lineno}: {exc}") from None
         docs.append(doc)
 
     if format == "jsonl":
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(f"line {lineno}: invalid json ({exc.msg})") from exc
-                add(rec, lineno)
+        for lineno, rec in read_jsonl(path):
+            add(rec, lineno)
     elif format == "csv":
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)

@@ -11,8 +11,6 @@ import numpy as np
 
 _TOKEN_RE = re.compile(r"[^a-zÀ-ɏ]+")
 
-SERIALIZATION_VERSION = 1
-
 
 class FeaturizeError(ValueError):
     pass
@@ -30,6 +28,8 @@ class Vocabulary:
     n_docs_fitted: int
 
     def __post_init__(self):
+        if len(self.df) != len(self.terms):
+            raise FeaturizeError(f"{len(self.df)} df counts for {len(self.terms)} terms")
         if len(set(self.terms)) != len(self.terms):
             raise FeaturizeError("duplicate terms in vocabulary")
         for t, f in zip(self.terms, self.df):
@@ -43,21 +43,6 @@ class Vocabulary:
     def index(self) -> dict[str, int]:
         return {t: j for j, t in enumerate(self.terms)}
 
-    def to_json(self) -> dict:
-        return {
-            "version": SERIALIZATION_VERSION,
-            "terms": list(self.terms),
-            "df": list(self.df),
-            "n_docs_fitted": self.n_docs_fitted,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Vocabulary":
-        if obj.get("version") != SERIALIZATION_VERSION:
-            raise FeaturizeError(f"unsupported vocabulary version {obj.get('version')}")
-        return cls(terms=tuple(obj["terms"]), df=tuple(obj["df"]),
-                   n_docs_fitted=int(obj["n_docs_fitted"]))
-
 
 @dataclass(frozen=True)
 class PcaProjection:
@@ -69,24 +54,6 @@ class PcaProjection:
     @property
     def rank(self) -> int:
         return self.components.shape[0]
-
-    def to_json(self) -> dict:
-        return {
-            "version": SERIALIZATION_VERSION,
-            "mean": self.mean.tolist(),
-            "components": self.components.tolist(),
-            "explained_variance": self.explained_variance.tolist(),
-            "truncated": self.truncated,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PcaProjection":
-        if obj.get("version") != SERIALIZATION_VERSION:
-            raise FeaturizeError(f"unsupported projection version {obj.get('version')}")
-        return cls(mean=np.asarray(obj["mean"], dtype=np.float64),
-                   components=np.asarray(obj["components"], dtype=np.float64),
-                   explained_variance=np.asarray(obj["explained_variance"], dtype=np.float64),
-                   truncated=bool(obj.get("truncated", False)))
 
 
 @dataclass(frozen=True)

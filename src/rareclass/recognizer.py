@@ -6,17 +6,18 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .dataset import CorpusError, check_features
+from .dataset import CorpusError, check_features, record_text
 from .featurize import (PcaProjection, TermCounts, Vocabulary, count_terms, pca_transform,
                         tfidf_transform)
 from .objective import ModelParams
-from .rejection import RejectionThresholds
+from .rejection import EVT_POT, PERCENTILE, RejectionThresholds, TailFit
 
 MAJORITY = "Majority"
 KNOWN = "Known"
@@ -67,7 +68,6 @@ class StreamStats:
 
 @dataclass
 class ModelDocument:
-    version: int
     d: int
     K: int
     params: ModelParams
@@ -76,6 +76,7 @@ class ModelDocument:
     subclass_names: tuple[str, ...]
     vocab: Vocabulary | None = None
     projection: PcaProjection | None = None
+    version: int = MODEL_VERSION
 
     def __post_init__(self):
         if self.version != MODEL_VERSION:
@@ -100,31 +101,30 @@ class ModelDocument:
                 raise ModelDocumentError(
                     f"projection components {proj.components.shape} inconsistent with "
                     f"d={self.d} and mean length {len(proj.mean)}")
+            if proj.explained_variance.shape != (proj.rank,):
+                raise ModelDocumentError(
+                    f"projection explained_variance {proj.explained_variance.shape} inconsistent with rank {proj.rank}")
             if self.vocab is not None and len(proj.mean) != self.vocab.d:
                 raise ModelDocumentError(
                     f"projection mean length {len(proj.mean)} inconsistent with vocabulary size {self.vocab.d}")
-            if not (np.all(np.isfinite(proj.mean)) and np.all(np.isfinite(proj.components))):
-                raise ModelDocumentError("projection has non-finite feature values")
 
     def check_record(self, rec) -> None:
         """Raise ModelDocumentError unless rec is a stream record this model can featurize:
-        an object with a `features` list of d numbers, or else a `text` string
-        (absent means empty) when the model has a text representation."""
+        an object with a `features` list of d numbers, or else a `text` (see
+        dataset.record_text) when the model has a text representation."""
         if not isinstance(rec, dict):
             raise ModelDocumentError("record is not a JSON object")
-        if "features" not in rec:
-            if self.representation["kind"] == "raw":
-                raise ModelDocumentError("raw-representation model requires 'features' records")
-            if not isinstance(rec.get("text", ""), str):
-                raise ModelDocumentError("'text' is not a string")
-            return
-        f = rec["features"]
+        if "features" not in rec and self.representation["kind"] == "raw":
+            raise ModelDocumentError("raw-representation model requires 'features' records")
         try:
-            check_features(f)
+            if "features" not in rec:
+                record_text(rec)
+                return
+            check_features(rec["features"])
         except CorpusError as exc:
             raise ModelDocumentError(str(exc)) from None
-        if len(f) != self.d:
-            raise ModelDocumentError(f"feature dimension {len(f)} != model d {self.d}")
+        if len(rec["features"]) != self.d:
+            raise ModelDocumentError(f"feature dimension {len(rec['features'])} != model d {self.d}")
 
     def featurize(self, records: list[dict]) -> np.ndarray:
         """Map stream records to an (n, d) array, choosing per record: its own
@@ -140,7 +140,7 @@ class ModelDocument:
         if len(text_rows) < n:
             feature_rows = [i for i, r in enumerate(records) if "features" in r]
             X[feature_rows] = self._features([records[i]["features"] for i in feature_rows])
-        X[text_rows] = self.text_features(count_terms([records[i].get("text", "") for i in text_rows]))
+        X[text_rows] = self.text_features(count_terms([record_text(records[i]) for i in text_rows]))
         return X
 
     def text_features(self, counts: TermCounts) -> np.ndarray:
@@ -242,58 +242,150 @@ def atomic_write(path, payload: str) -> None:
         fh.write(payload)
 
 
-def save(model: ModelDocument, path) -> None:
-    """Serialize to versioned JSON; floats round-trip bit-exactly via repr."""
-    doc = {
-        "version": model.version,
-        "d": model.d,
-        "K": model.K,
-        "params": {
-            "w0": model.params.w0.tolist(),
-            "b0": model.params.b0,
-            "W": model.params.W.tolist(),
-            "b": model.params.b.tolist(),
-        },
-        "thresholds": model.thresholds.to_json(),
-        "representation": model.representation,
-        "subclass_names": list(model.subclass_names),
-        "vocab": model.vocab.to_json() if model.vocab is not None else None,
-        "projection": model.projection.to_json() if model.projection is not None else None,
-    }
+# The model file is one JSON object, laid out by DOCUMENT_JSON below and
+# written in its key order. Each key has a rule, a function (value, key) that
+# reads the parsed JSON value into the model's value. It checks the value
+# exactly (an int is not a bool or a float; a number is a finite int or float,
+# never a bool) and refuses anything else with a ModelDocumentError naming the key.
+
+
+def _refuse(key: str, problem: str, *got):
+    raise ModelDocumentError(f"corrupt model document: {repr(key) if key else 'the document'} {problem}"
+                             + (f" (got {repr(got[0])[:40]})" if got else ""))
+
+
+def _leaf(problem: str, parse):
+    """The rule for a value that parse turns into the model's value, or into None when it does not fit."""
+    def read(value, key=""):
+        parsed = parse(value)
+        if parsed is None:
+            _refuse(key, problem, value)
+        return parsed
+    return read
+
+
+def _array(ndim: int):
+    """The parse of a list of finite numbers (ndim 1), or of equally long such lists (ndim 2)."""
+    def parse(value):
+        # ValueError: check_features's CorpusError, or rows of unequal length
+        with contextlib.suppress(ValueError):
+            for row in (value if ndim == 2 and type(value) is list else [value]):
+                check_features(row)
+            array = np.array(value, dtype=np.float64)
+            if array.ndim == ndim and np.isfinite(array).all():
+                return array
+    return parse
+
+
+def _list(item):
+    """The rule for a list whose items follow the item rule, read as a tuple."""
+    def read(value, key=""):
+        if type(value) is not list:
+            _refuse(key, "is not a list", value)
+        return tuple(item(v, f"{key}[{i}]") for i, v in enumerate(value))
+    return read
+
+
+class _Object:
+    """The rule for an object with exactly the keys of `fields`, all present but
+    the `optional` ones, read as cls(**values), or as None from null when
+    `nullable`. A key whose rule is an int is a format version: it must hold
+    that int, and it is written but not passed to cls."""
+
+    def __init__(self, cls, fields: dict, optional=(), nullable=False, problem="is not an object"):
+        self.cls, self.fields, self.optional = cls, fields, optional
+        self.nullable, self.problem = nullable, problem
+
+    def __call__(self, value, key=""):
+        if value is None and self.nullable:
+            return None
+        if type(value) is not dict:
+            _refuse(key, self.problem, value)
+        path = f"{key}." if key else ""
+        for name in sorted(value.keys() - self.fields.keys()):
+            _refuse(path + name, "is not a key of the model file")
+        values = {}
+        for name, rule in self.fields.items():
+            if name not in value:
+                if name not in self.optional:
+                    _refuse(path + name, "is missing")
+            elif not isinstance(rule, int):
+                values[name] = rule(value[name], path + name)
+            elif type(value[name]) is not int or value[name] != rule:
+                _refuse(path + name, f"is not version {rule}", value[name])
+        return self.cls(**values)
+
+    def encode(self, value) -> dict:
+        return {name: rule if isinstance(rule, int) else getattr(value, name)
+                for name, rule in self.fields.items()}
+
+
+INT = _leaf("is not an int", lambda v: v if type(v) is int else None)
+BOOL = _leaf("is not a bool", lambda v: v if type(v) is bool else None)
+STRING = _leaf("is not a string", lambda v: v if type(v) is str else None)
+# the bound is false for NaN, the infinities and ints beyond the float range
+NUMBER = _leaf("is not a finite number",
+               lambda v: float(v) if type(v) in (int, float) and abs(v) <= sys.float_info.max else None)
+VECTOR = _leaf("is not a list of numbers, or has a non-finite one", _array(1))
+MATRIX = _leaf("is not a list of equally long lists of numbers, or has a non-finite one", _array(2))
+
+PARAMS_JSON = _Object(ModelParams, {"w0": VECTOR, "b0": NUMBER, "W": MATRIX, "b": VECTOR})
+TAIL_FIT_JSON = _Object(TailFit, {"shape": NUMBER, "scale": NUMBER, "anchor": NUMBER}, nullable=True)
+THRESHOLDS_JSON = _Object(RejectionThresholds, {
+    "t": VECTOR,
+    "method": _leaf(f"is not {EVT_POT!r} or {PERCENTILE!r}",
+                    lambda v: v if v in (EVT_POT, PERCENTILE) else None),
+    "q": NUMBER,
+    "fitted_tail_params": _list(TAIL_FIT_JSON),
+    "fallback": _list(BOOL)})
+REPRESENTATION_JSON = _Object(dict, {
+    "kind": _leaf("is an unknown representation", lambda v: v if v in ("raw", "tfidf", "pca") else None),
+    "d": INT,                                    # raw
+    "rank": INT,                                 # pca
+}, optional=("d", "rank"), problem="is an unknown representation")
+VOCABULARY_JSON = _Object(Vocabulary, {
+    "version": 1, "terms": _list(STRING), "df": _list(INT), "n_docs_fitted": INT}, nullable=True)
+PROJECTION_JSON = _Object(PcaProjection, {
+    "version": 1, "mean": VECTOR, "components": MATRIX, "explained_variance": VECTOR,
+    "truncated": BOOL}, nullable=True)
+DOCUMENT_JSON = _Object(ModelDocument, {
+    "version": MODEL_VERSION, "d": INT, "K": INT, "params": PARAMS_JSON, "thresholds": THRESHOLDS_JSON,
+    "representation": REPRESENTATION_JSON, "subclass_names": _list(STRING),
+    "vocab": VOCABULARY_JSON, "projection": PROJECTION_JSON})
+_BY_CLASS = {rule.cls: rule for rule in (PARAMS_JSON, TAIL_FIT_JSON, THRESHOLDS_JSON, VOCABULARY_JSON,
+                                         PROJECTION_JSON, DOCUMENT_JSON)}
+
+
+def model_json(value) -> str:
+    """The model file's JSON text of a ModelDocument or of one of its parts, each
+    object laid out by its rule above. Floats round-trip bit-exactly via repr."""
+    def default(part):               # what json cannot write itself
+        return part.tolist() if isinstance(part, np.ndarray) else _BY_CLASS[type(part)].encode(part)
     try:
-        payload = json.dumps(doc, allow_nan=False)
+        return json.dumps(value, default=default, allow_nan=False)
     except ValueError as exc:
         raise ModelDocumentError(f"model document has a non-finite value: {exc}") from exc
-    atomic_write(path, payload)
+
+
+def save(model: ModelDocument, path) -> None:
+    """Write the model file, atomically."""
+    atomic_write(path, model_json(model))
 
 
 def load(path) -> ModelDocument:
+    """Read a model file through DOCUMENT_JSON. A key that is missing, unknown,
+    of another JSON type or shape, or inconsistent with the others is a
+    ModelDocumentError."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelDocumentError(f"corrupt model document: {exc.msg}") from exc
+    except ValueError as exc:          # not JSON, or not UTF-8
+        raise ModelDocumentError(f"corrupt model document: {exc}") from exc
     try:
-        params = ModelParams(
-            w0=np.asarray(doc["params"]["w0"], dtype=np.float64),
-            b0=float(doc["params"]["b0"]),
-            W=np.asarray(doc["params"]["W"], dtype=np.float64).reshape(doc["K"], doc["d"]),
-            b=np.asarray(doc["params"]["b"], dtype=np.float64),
-        )
-        model = ModelDocument(
-            version=int(doc["version"]),
-            d=int(doc["d"]),
-            K=int(doc["K"]),
-            params=params,
-            thresholds=RejectionThresholds.from_json(doc["thresholds"]),
-            representation=doc["representation"],
-            subclass_names=tuple(doc["subclass_names"]),
-            vocab=Vocabulary.from_json(doc["vocab"]) if doc.get("vocab") else None,
-            projection=PcaProjection.from_json(doc["projection"]) if doc.get("projection") else None,
-        )
+        model = DOCUMENT_JSON(doc)
     except ModelDocumentError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:          # the checks of ModelParams, RejectionThresholds, Vocabulary
         raise ModelDocumentError(f"corrupt model document: {exc}") from exc
     # a text model built in code may get its vocabulary later; a file must carry it
     kind = model.representation["kind"]

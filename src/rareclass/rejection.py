@@ -39,32 +39,14 @@ class RejectionThresholds:
             raise RejectionError("q must lie in (0, 1)")
         if not np.all(np.isfinite(self.t)):
             raise RejectionError("non-finite thresholds")
+        for name, entries in (("fitted_tail_params", self.fitted_tail_params),
+                              ("fallback", self.fallback)):
+            if len(entries) not in (0, self.K):         # empty: not recorded
+                raise RejectionError(f"{name} has {len(entries)} entries for {self.K} thresholds")
 
     @property
     def K(self) -> int:
         return len(self.t)
-
-    def to_json(self) -> dict:
-        return {
-            "t": [float(v) for v in self.t],
-            "method": self.method,
-            "q": self.q,
-            "fitted_tail_params": [
-                None if f is None else {"shape": f.shape, "scale": f.scale, "anchor": f.anchor}
-                for f in self.fitted_tail_params
-            ],
-            "fallback": list(self.fallback),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RejectionThresholds":
-        tails = tuple(
-            None if f is None else TailFit(f["shape"], f["scale"], f["anchor"])
-            for f in obj.get("fitted_tail_params", [])
-        )
-        return cls(t=np.asarray(obj["t"], dtype=np.float64), method=obj["method"],
-                   q=float(obj["q"]), fitted_tail_params=tails,
-                   fallback=tuple(obj.get("fallback", [])))
 
 
 def _gpd_moments(excesses: np.ndarray) -> tuple[float, float] | None:

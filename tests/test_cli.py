@@ -277,6 +277,34 @@ class TestPredictStreaming:
         assert not re.search(r"^predict ", captured.err, re.M)
 
 
+    def test_null_stream_text_reads_as_empty(self, tmp_path, text_file):
+        model = str(tmp_path / "model.json")
+        assert main(["train", "--input", text_file, "--rep", "tfidf1k", "--iters", "50",
+                     "--reject", "percentile", "--out", model]) == EXIT_OK
+        outputs = []
+        for i, record in enumerate(['{"text": null}', '{"text": ""}', "{}"]):
+            stream, out = tmp_path / f"s{i}.jsonl", tmp_path / f"d{i}.jsonl"
+            stream.write_text(record + "\n")
+            assert main(["predict", "--model", model, "--input", str(stream),
+                         "--out", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_non_string_text_is_data_error(self, tmp_path, text_file, capsys):
+        model = str(tmp_path / "model.json")
+        assert main(["train", "--input", text_file, "--rep", "tfidf1k", "--iters", "50",
+                     "--reject", "percentile", "--out", model]) == EXIT_OK
+        stream = tmp_path / "s.jsonl"
+        stream.write_text('{"text": "flood"}\n{"text": 5}\n')
+        out = tmp_path / "d.jsonl"
+        capsys.readouterr()
+        rc = main(["predict", "--model", model, "--input", str(stream), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert "line 2: 'text' is not a string" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestEvaluate:
     def test_deterministic_reports(self, tmp_path, synth_file):
         out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
@@ -605,6 +633,56 @@ class TestErrorsAndSeeds:
                    "--out", out])
         assert rc == EXIT_OK
         assert json.loads(Path(out).read_text())["seeds"] == [11]
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--input", "{dir}", "--rep", "raw", "--out", "{out}"],
+        ["evaluate", "--input", "{dir}", "--rep", "raw", "--out", "{out}"],
+        ["coverage", "--input", "{dir}", "--out", "{out}"],
+        ["predict", "--model", "{model}", "--input", "{dir}", "--out", "{out}"],
+        ["predict", "--model", "{dir}", "--input", "{synth}", "--out", "{out}"],
+    ], ids=["train-input", "evaluate-input", "coverage-input", "predict-input", "predict-model"])
+    def test_directory_path_is_data_error(self, tmp_path, synth_file, capsys, argv):
+        model = tmp_path / "m.json"
+        assert main(["train", "--input", synth_file, "--rep", "raw", "--iters", "5",
+                     "--reject", "percentile", "--out", str(model)]) == EXIT_OK
+        (tmp_path / "d").mkdir()
+        out = tmp_path / "o.json"
+        names = {"dir": str(tmp_path / "d"), "out": str(out), "model": str(model), "synth": synth_file}
+        capsys.readouterr()
+        rc = main([arg.format(**names) for arg in argv])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert "Is a directory" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file"),
+        ('{"reps": 1,', "Expecting"),
+        ('[1, 2]', "is not a JSON object"),
+        ('"raw"', "is not a JSON object"),
+    ], ids=["missing", "not-json", "array", "string"])
+    def test_bad_config_file_is_usage_error_naming_it(self, tmp_path, synth_file, capsys,
+                                                      content, message):
+        conf = tmp_path / "conf.json"
+        if content is not None:
+            conf.write_text(content)
+        out = tmp_path / "r.json"
+        rc = main(["--config", str(conf), "evaluate", "--input", synth_file, "--rep", "raw",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert str(conf) in err and message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_evaluate_needs_one_repetition(self, tmp_path, synth_file, capsys, reps):
+        out = tmp_path / "r.json"
+        rc = main(["evaluate", "--input", synth_file, "--rep", "raw", "--reps", reps,
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_USAGE
+        assert "--reps must be at least 1" in captured.err and "Traceback" not in captured.err
+        assert not out.exists() and captured.out == ""
 
     def test_parser_requires_command(self, capsys):
         with pytest.raises(SystemExit):

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_vocab_by_hand, tfidf_by_hand
 from rareclass.featurize import (
-    FeaturizeError, PcaProjection, TermCounts, Vocabulary, build_vocab, count_terms, pca_fit,
+    FeaturizeError, TermCounts, build_vocab, count_terms, pca_fit,
     pca_transform, tfidf_transform, tokenize,
 )
+from rareclass.recognizer import PROJECTION_JSON, VOCABULARY_JSON, ModelDocumentError, model_json
 
 
 class TestTokenize:
@@ -70,9 +71,9 @@ class TestTfidf:
 
     def test_transform_does_not_mutate_vocab(self):
         vocab = build_vocab(["aa bb cc", "bb cc dd"])
-        digest = hashlib.sha256(json.dumps(vocab.to_json()).encode()).hexdigest()
+        digest = hashlib.sha256(model_json(vocab).encode()).hexdigest()
         tfidf_transform(["dd ee ff", "aa"], vocab)
-        assert hashlib.sha256(json.dumps(vocab.to_json()).encode()).hexdigest() == digest
+        assert hashlib.sha256(model_json(vocab).encode()).hexdigest() == digest
 
     def test_weighting_formula(self):
         vocab = build_vocab(["aa bb", "aa cc", "aa dd"])
@@ -146,19 +147,19 @@ class TestPca:
 class TestSerialization:
     def test_vocab_roundtrip(self):
         vocab = build_vocab(["aa bb cc", "bb dd"])
-        assert Vocabulary.from_json(json.loads(json.dumps(vocab.to_json()))) == vocab
+        assert VOCABULARY_JSON(json.loads(model_json(vocab))) == vocab
 
     def test_projection_roundtrip(self):
         rng = np.random.default_rng(7)
         proj = pca_fit(rng.standard_normal((20, 4)), rank=2)
-        back = PcaProjection.from_json(json.loads(json.dumps(proj.to_json())))
+        back = PROJECTION_JSON(json.loads(model_json(proj)))
         assert np.array_equal(back.mean, proj.mean)
         assert np.array_equal(back.components, proj.components)
 
     def test_version_check(self):
         obj = json.loads('{"version": 99, "terms": [], "df": [], "n_docs_fitted": 0}')
-        with pytest.raises(FeaturizeError, match="version"):
-            Vocabulary.from_json(obj)
+        with pytest.raises(ModelDocumentError, match="version"):
+            VOCABULARY_JSON(obj)
 
 
 # few distinct words, so frequencies tie often; words with letters in the

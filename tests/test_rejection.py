@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from rareclass.objective import Hyperparams, bind_data
+from rareclass.recognizer import THRESHOLDS_JSON, model_json
 from rareclass.rejection import (
     EVT_POT, PERCENTILE, RejectionError, RejectionThresholds, TailFit,
     accepts, calibrate, calibrate_scores,
@@ -149,7 +152,7 @@ class TestValidationAndSerialization:
             t=np.array([1.5, -0.25]), method=EVT_POT, q=0.01,
             fitted_tail_params=(TailFit(0.1, 0.9, 2.0), None),
             fallback=(False, True))
-        back = RejectionThresholds.from_json(th.to_json())
+        back = THRESHOLDS_JSON(json.loads(model_json(th)))
         assert np.array_equal(back.t, th.t)
         assert back.method == th.method and back.q == th.q
         assert back.fitted_tail_params == th.fitted_tail_params
