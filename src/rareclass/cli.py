@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import numpy as np
 from . import coverage as cov
 from . import evaluation, featurize, recognizer, rejection, trainer
 from .dataset import (CorpusError, RARE, SyntheticConfig, gen_synthetic,
-                      load_corpus, read_jsonl, save_corpus)
+                      load_corpus, parse_line, read_lines, save_corpus)
 from .objective import Hyperparams, ObjectiveError, bind_data
 from .recognizer import KNOWN, Decision, ModelDocument, ModelDocumentError
 from .trainer import DivergenceError, TrainConfig
@@ -194,22 +195,74 @@ def cmd_train(args) -> int:
 # records read, featurized, routed and written at a time: memory stays flat in the stream length
 PREDICT_CHUNK = 4096
 
+# the model _predict_chunk routes with; a fork pool's workers inherit it
+_chunk_model: ModelDocument | None = None
 
-def _record_chunks(path: str, model: ModelDocument):
-    """The stream's records, each checked against the model as it is read,
-    PREDICT_CHUNK at a time. Blank lines are skipped; errors name the line in the file."""
-    chunk = []
-    for lineno, rec in read_jsonl(path):
+
+def _predict_jobs(path: str):
+    """The stream's non-blank (line number, line) pairs, PREDICT_CHUNK at a
+    time, each chunk with the output index of its first record."""
+    first, chunk = 0, []
+    for pair in read_lines(path):
+        chunk.append(pair)
+        if len(chunk) == PREDICT_CHUNK:
+            yield first, chunk
+            first, chunk = first + len(chunk), []
+    if chunk:
+        yield first, chunk
+
+
+def _predict_chunk(job: tuple[int, list[tuple[int, str]]]) -> tuple[str, recognizer.StreamStats]:
+    """Parse, check, featurize and route one chunk: its decision lines and its
+    counters. A bad record is an error naming its line in the input file."""
+    first, lines = job
+    model = _chunk_model
+    records = []
+    for lineno, line in lines:
+        rec = parse_line(lineno, line)
         try:
             model.check_record(rec)
         except ModelDocumentError as exc:
             raise CorpusError(f"line {lineno}: {exc}") from exc
-        chunk.append(rec)
-        if len(chunk) == PREDICT_CHUNK:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
+        records.append(rec)
+    decisions, stats = recognizer.predict_stream(model, model.featurize(records))
+    return "".join(_decision_line(first + j, d) for j, d in enumerate(decisions)), stats
+
+
+def _raise(exc: Exception):
+    raise exc
+    yield                                         # a generator: it raises when first read
+
+
+def _look_ahead(jobs):
+    """(the same jobs, whether there are at least two). An error met while
+    reading the second is raised after the first job, where a plain loop meets it."""
+    head = list(itertools.islice(jobs, 1))
+    try:
+        head += itertools.islice(jobs, 1)
+    except (CorpusError, OSError) as exc:
+        return itertools.chain(head, _raise(exc)), False
+    # a list iterator lets go of the list once read, so the first chunks are not held to the end
+    return itertools.chain(iter(head), jobs), len(head) == 2
+
+
+@contextlib.contextmanager
+def _chunk_mapper(model: ModelDocument, workers: int):
+    """A `map` for _predict_chunk with `model`: the builtin one in this process
+    for one worker, else the ordered `imap` of a fork pool, torn down when the block ends."""
+    global _chunk_model
+    _chunk_model = model
+    try:
+        if workers == 1:
+            yield map
+            return
+        import multiprocessing                    # only a multi-chunk stream pays for it
+        sys.stdout.flush()                        # a worker must not inherit unwritten output
+        sys.stderr.flush()
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            yield pool.imap
+    finally:
+        _chunk_model = None
 
 
 def cmd_predict(args) -> int:
@@ -218,15 +271,17 @@ def cmd_predict(args) -> int:
     totals = recognizer.StreamStats()
     output = recognizer.atomic_open(args.out) if args.out else contextlib.nullcontext(sys.stdout)
     with output as out:
-        for records in _record_chunks(args.input, model):
-            decisions, stats = recognizer.predict_stream(model, model.featurize(records))
-            offset = totals.total
-            out.write("".join(_decision_line(offset + j, d) for j, d in enumerate(decisions)))
-            totals.merge(stats)
+        jobs, several = _look_ahead(_predict_jobs(args.input))
+        # every CPU this process may run on, once a second chunk exists
+        workers = len(os.sched_getaffinity(0)) if several and hasattr(os, "sched_getaffinity") else 1
+        with _chunk_mapper(model, workers) as mapper:
+            for text, stats in mapper(_predict_chunk, jobs):
+                out.write(text)
+                totals.merge(stats)
     seconds = time.perf_counter() - start
     print(f"predict items={totals.total} majority={totals.majority} "
           f"known={sum(totals.known.values())} emerging={totals.emerging} "
-          f"sc_evaluations={totals.sc_evaluations} seconds={seconds:.3f} "
+          f"sc_evaluations={totals.sc_evaluations} workers={workers} seconds={seconds:.3f} "
           f"items_per_s={totals.total / seconds:.0f}", file=sys.stderr)
     return EXIT_OK
 

@@ -145,18 +145,30 @@ def record_text(rec: dict) -> str:
     return text or ""
 
 
-def read_jsonl(path):
-    """(line number from 1, parsed record) for each non-blank line of a jsonl
-    file; a line that is not JSON is a CorpusError naming it."""
+def read_lines(path):
+    """(line number from 1, line) for each non-blank line of a text file; a
+    file that is not UTF-8 is a CorpusError naming it."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {lineno}: invalid json ({exc.msg})") from exc
-            yield lineno, rec
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path} is not UTF-8 text ({exc.reason})") from exc
+
+
+def parse_line(lineno: int, line: str):
+    """One jsonl record; a line that is not JSON is a CorpusError naming it."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"line {lineno}: invalid json ({exc.msg})") from exc
+
+
+def read_jsonl(path):
+    """(line number from 1, parsed record) for each non-blank line of a jsonl file."""
+    for lineno, line in read_lines(path):
+        yield lineno, parse_line(lineno, line)
 
 
 def _record_to_doc(rec: dict, name_to_id: dict[str, int]) -> Doc:

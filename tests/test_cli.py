@@ -687,3 +687,22 @@ class TestErrorsAndSeeds:
     def test_parser_requires_command(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("command", ["train", "evaluate", "coverage", "predict"])
+    def test_is_data_error_naming_the_file(self, tmp_path, integer_model, capsys, command):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff\xfe" + '{"features": [1, 1, 1]}\n'.encode("utf-16-le"))
+        out = tmp_path / "out.json"
+        flags = ["--input", str(bad), "--out", str(out)]
+        argv = {"train": ["train", *flags, "--rep", "raw"],
+                "evaluate": ["evaluate", *flags, "--rep", "raw"],
+                "coverage": ["coverage", *flags],
+                "predict": ["predict", "--model", integer_model, *flags]}[command]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == EXIT_DATA
+        assert f"{bad} is not UTF-8 text" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "int_model.json"]

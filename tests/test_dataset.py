@@ -8,6 +8,7 @@ from rareclass.dataset import (
     CorpusError, Doc, LabeledCorpus, MAJORITY, RARE, SyntheticConfig,
     gen_synthetic, load_corpus, save_corpus, split_protocol,
 )
+from rareclass.dataset import parse_line, read_jsonl, read_lines
 
 
 def write_jsonl(path, records):
@@ -89,6 +90,25 @@ class TestLoadCorpus:
         back = load_corpus(f)
         assert back.K == corpus.K
         assert np.allclose(back.feature_matrix(), corpus.feature_matrix())
+
+
+class TestLineReader:
+    def test_skips_blank_lines_and_keeps_their_numbers(self, tmp_path):
+        f = tmp_path / "s.jsonl"
+        f.write_text('\n{"a": 1}\n   \n\t\n{"b": [2]}\n\n')
+        assert list(read_lines(f)) == [(2, '{"a": 1}\n'), (5, '{"b": [2]}\n')]
+        assert list(read_jsonl(f)) == [(n, parse_line(n, line)) for n, line in read_lines(f)]
+        assert list(read_jsonl(f)) == [(2, {"a": 1}), (5, {"b": [2]})]
+
+    def test_invalid_json_names_its_line(self):
+        with pytest.raises(CorpusError, match=r"^line 7: invalid json \("):
+            parse_line(7, '{"a": ')
+
+    def test_non_utf8_file_names_it(self, tmp_path):
+        f = tmp_path / "s.jsonl"
+        f.write_bytes(b'{"a": 1}\n\xff\xfe\n')
+        with pytest.raises(CorpusError, match=f"{f} is not UTF-8 text"):
+            list(read_lines(f))
 
 
 class TestSplitProtocol:
