@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
 import os
 import pickle
+import signal
 import sys
 import time
 
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_WORKER = 4
 
 
 class UsageError(ValueError):
@@ -195,38 +198,35 @@ def cmd_train(args) -> int:
 # records read, featurized, routed and written at a time: memory stays flat in the stream length
 PREDICT_CHUNK = 4096
 
-# the model _predict_chunk routes with; a fork pool's workers inherit it
-_chunk_model: ModelDocument | None = None
+
+class WorkerDied(RuntimeError):
+    """A pool worker process ended without returning its chunk (killed, say, for memory)."""
 
 
-def _predict_jobs(path: str):
-    """The stream's non-blank (line number, line) pairs, PREDICT_CHUNK at a
-    time, each chunk with the output index of its first record."""
-    first, chunk = 0, []
+def _predict_chunks(path: str):
+    """The stream's non-blank (line number, line) pairs, PREDICT_CHUNK at a time."""
+    chunk = []
     for pair in read_lines(path):
         chunk.append(pair)
         if len(chunk) == PREDICT_CHUNK:
-            yield first, chunk
-            first, chunk = first + len(chunk), []
+            yield chunk
+            chunk = []
     if chunk:
-        yield first, chunk
+        yield chunk
 
 
-def _predict_chunk(job: tuple[int, list[tuple[int, str]]]) -> tuple[str, recognizer.StreamStats]:
-    """Parse, check, featurize and route one chunk: its decision lines and its
-    counters. A bad record is an error naming its line in the input file."""
-    first, lines = job
-    model = _chunk_model
+def _chunk_features(model: ModelDocument, chunk: list[tuple[int, str]]) -> np.ndarray:
+    """Parse, check and featurize one chunk: the (n, d) array predict routes.
+    A bad record is an error naming its line in the input file."""
     records = []
-    for lineno, line in lines:
+    for lineno, line in chunk:
         rec = parse_line(lineno, line)
         try:
             model.check_record(rec)
         except ModelDocumentError as exc:
             raise CorpusError(f"line {lineno}: {exc}") from exc
         records.append(rec)
-    decisions, stats = recognizer.predict_stream(model, model.featurize(records))
-    return "".join(_decision_line(first + j, d) for j, d in enumerate(decisions)), stats
+    return model.featurize(records)
 
 
 def _raise(exc: Exception):
@@ -234,35 +234,113 @@ def _raise(exc: Exception):
     yield                                         # a generator: it raises when first read
 
 
-def _look_ahead(jobs):
-    """(the same jobs, whether there are at least two). An error met while
-    reading the second is raised after the first job, where a plain loop meets it."""
-    head = list(itertools.islice(jobs, 1))
+def _look_ahead(chunks):
+    """(the same chunks, whether there are at least two). An error met while
+    reading the second is raised after the first chunk, where a plain loop meets it."""
+    head = list(itertools.islice(chunks, 1))
     try:
-        head += itertools.islice(jobs, 1)
-    except (CorpusError, OSError) as exc:
+        head += itertools.islice(chunks, 1)
+    except Exception as exc:
         return itertools.chain(head, _raise(exc)), False
     # a list iterator lets go of the list once read, so the first chunks are not held to the end
-    return itertools.chain(iter(head), jobs), len(head) == 2
+    return itertools.chain(iter(head), chunks), len(head) == 2
+
+
+def _serve(fn, pipe, inherited):
+    """A fork-pool worker: fn on each job read from `pipe`, sending back
+    (True, its result) or (False, the error it raised), until the main process
+    closes its end."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)      # Ctrl-C is for the main process to handle
+    for end in inherited:                 # main's ends, so a pipe closes when main lets go of it
+        end.close()
+    while True:
+        try:
+            job = pipe.recv()
+        except EOFError:
+            return
+        try:
+            reply = True, fn(job)
+        except Exception as exc:
+            reply = False, exc
+        try:
+            pipe.send(reply)
+        except OSError:                   # the main process stopped waiting for it
+            return
+
+
+def _worker_died(proc) -> WorkerDied:
+    proc.join()
+    return WorkerDied(f"predict worker process {proc.pid} ended before returning its chunk "
+                      f"(exit status {proc.exitcode})")
+
+
+def _receive(proc, pipe):
+    try:
+        ok, value = pipe.recv()
+    except EOFError:
+        raise _worker_died(proc) from None
+    if not ok:
+        raise value
+    return value
+
+
+def _fork_map(fn, jobs, *, workers: int, started: list):
+    """fn over jobs in `workers` forked processes, results in job order. Job i
+    goes to worker i % workers, which holds one job at a time, so at most
+    `workers` jobs are out and reading keeps pace with the consumer. Each
+    (process, pipe) started is added to `started`, for the caller to stop. An
+    error reading the jobs is raised after the results of the jobs before it."""
+    import multiprocessing                        # only a multi-chunk stream pays for it
+    fork = multiprocessing.get_context("fork")
+    sys.stdout.flush()                            # a worker must not inherit unwritten output
+    sys.stderr.flush()
+    for _ in range(workers):
+        here, there = fork.Pipe()
+        proc = fork.Process(target=_serve, args=(fn, there, [p for _, p in started] + [here]),
+                            daemon=True)
+        proc.start()
+        there.close()
+        started.append((proc, here))
+
+    def outstanding():
+        for i in range(max(sent - workers, 0), sent):
+            yield _receive(*started[i % workers])
+
+    sent, jobs = 0, iter(jobs)
+    while True:
+        try:
+            job = next(jobs)
+        except StopIteration:
+            break
+        except Exception as exc:                  # the chunks read before it come out first
+            yield from outstanding()
+            raise exc
+        proc, pipe = started[sent % workers]
+        # the oldest job out is on this worker: take its result, then hand it the next job
+        result = _receive(proc, pipe) if sent >= workers else None
+        try:
+            pipe.send(job)
+        except OSError:
+            raise _worker_died(proc) from None
+        del job                                   # sent: this process need not hold it meanwhile
+        sent += 1
+        if sent > workers:
+            yield result
+    yield from outstanding()
 
 
 @contextlib.contextmanager
-def _chunk_mapper(model: ModelDocument, workers: int):
-    """A `map` for _predict_chunk with `model`: the builtin one in this process
-    for one worker, else the ordered `imap` of a fork pool, torn down when the block ends."""
-    global _chunk_model
-    _chunk_model = model
+def _chunk_mapper(workers: int):
+    """A `map`: the builtin one in this process for one worker, else _fork_map
+    over `workers` processes, stopped when the block ends."""
+    started = []
     try:
-        if workers == 1:
-            yield map
-            return
-        import multiprocessing                    # only a multi-chunk stream pays for it
-        sys.stdout.flush()                        # a worker must not inherit unwritten output
-        sys.stderr.flush()
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            yield pool.imap
+        yield map if workers == 1 else functools.partial(_fork_map, workers=workers, started=started)
     finally:
-        _chunk_model = None
+        for proc, pipe in started:
+            pipe.close()
+            proc.terminate()
+            proc.join()
 
 
 def cmd_predict(args) -> int:
@@ -271,12 +349,16 @@ def cmd_predict(args) -> int:
     totals = recognizer.StreamStats()
     output = recognizer.atomic_open(args.out) if args.out else contextlib.nullcontext(sys.stdout)
     with output as out:
-        jobs, several = _look_ahead(_predict_jobs(args.input))
+        chunks, several = _look_ahead(_predict_chunks(args.input))
         # every CPU this process may run on, once a second chunk exists
         workers = len(os.sched_getaffinity(0)) if several and hasattr(os, "sched_getaffinity") else 1
-        with _chunk_mapper(model, workers) as mapper:
-            for text, stats in mapper(_predict_chunk, jobs):
-                out.write(text)
+        with _chunk_mapper(workers) as mapper:
+            # routed here, not in a worker, so that a wrapper of recognizer.predict_stream in
+            # this process, such as a tracing span, sees every chunk
+            for X in mapper(functools.partial(_chunk_features, model), chunks):
+                decisions, stats = recognizer.predict_stream(model, X)
+                offset = totals.total
+                out.write("".join(_decision_line(offset + j, d) for j, d in enumerate(decisions)))
                 totals.merge(stats)
     seconds = time.perf_counter() - start
     print(f"predict items={totals.total} majority={totals.majority} "
@@ -431,6 +513,8 @@ def _exit_code(exc: Exception) -> int | None:
         return EXIT_DATA
     if isinstance(exc, _NUMERIC_ERRORS):
         return EXIT_NUMERIC
+    if isinstance(exc, WorkerDied):
+        return EXIT_WORKER
     return None
 
 

@@ -3,6 +3,8 @@ import pytest
 
 from rareclass.dataset import Doc, LabeledCorpus, MAJORITY, RARE
 from rareclass.objective import BoundData, ModelParams, bind_data
+from rareclass.recognizer import ModelDocument, save
+from rareclass.rejection import PERCENTILE, RejectionThresholds
 
 
 def make_instance(rng, n=12, d=4, K=2, rare_frac=0.5):
@@ -125,6 +127,18 @@ def balanced_corpus(K=3, per_subclass=10, majority=20, seed=0):
         docs += [Doc(f"doc subclass{k} token{i}", RARE, k) for i in range(per_subclass)]
     docs += [Doc(f"majority token{i}", MAJORITY) for i in range(majority)]
     return LabeledCorpus(docs=tuple(docs), K=K, id=f"balanced-{K}")
+
+
+def write_integer_model(path):
+    """Save a raw d=3, K=2 model with integer weights at `path`: gc = x0 + x1 - 1,
+    sc1 = x1, sc2 = x2, both thresholds 1. Integer features give exact scores."""
+    save(ModelDocument(
+        version=1, d=3, K=2,
+        params=ModelParams(w0=[1.0, 1.0, 0.0], b0=-1.0,
+                           W=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], b=[0.0, 0.0]),
+        thresholds=RejectionThresholds(t=np.array([1.0, 1.0]), method=PERCENTILE, q=0.05),
+        representation={"kind": "raw"}, subclass_names=("a", "b")), path)
+    return str(path)
 
 
 def text_feature_corpus(seed=0, K=3, per_subclass=24, majority=72, d=5):

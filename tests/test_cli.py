@@ -7,17 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import run_single_by_hand, text_feature_corpus, train_by_hand
+from conftest import run_single_by_hand, text_feature_corpus, train_by_hand, write_integer_model
 from rareclass import cli, featurize, trainer
 from rareclass.cli import (
     EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, bench_timings, build_parser, main,
 )
 from rareclass.dataset import SyntheticConfig, gen_synthetic, load_corpus, save_corpus
-from rareclass.objective import ModelParams
 from rareclass.recognizer import (
-    EMERGING, KNOWN, MAJORITY, Decision, ModelDocument, load, predict_stream, save,
+    EMERGING, KNOWN, MAJORITY, Decision, load, predict_stream, save,
 )
-from rareclass.rejection import EVT_POT, PERCENTILE, RejectionThresholds
+from rareclass.rejection import EVT_POT, PERCENTILE
 from rareclass.trainer import TrainConfig
 
 
@@ -123,17 +122,7 @@ class TestTrainPredict:
 
 @pytest.fixture
 def integer_model(tmp_path):
-    """Raw d=3, K=2 model with integer weights: gc = x0 + x1 - 1, sc1 = x1,
-    sc2 = x2, both thresholds 1. Integer features give exact scores."""
-    doc = ModelDocument(
-        version=1, d=3, K=2,
-        params=ModelParams(w0=[1.0, 1.0, 0.0], b0=-1.0,
-                           W=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], b=[0.0, 0.0]),
-        thresholds=RejectionThresholds(t=np.array([1.0, 1.0]), method=PERCENTILE, q=0.05),
-        representation={"kind": "raw"}, subclass_names=("a", "b"))
-    path = tmp_path / "int_model.json"
-    save(doc, path)
-    return str(path)
+    return write_integer_model(tmp_path / "int_model.json")
 
 
 def _features_stream(path, rows):

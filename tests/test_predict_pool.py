@@ -1,7 +1,7 @@
-"""`predict` parses and routes its chunks on every CPU the process may use,
-through a fork pool, and in this process for a one-chunk stream. Either way it
-writes the same bytes, names the same line in an error, and leaves the same
-earlier chunks on stdout."""
+"""`predict` parses, checks and featurizes its chunks on every CPU the process
+may use, through a fork pool, and in this process for a one-chunk stream; it
+routes and writes them in this process. Either way it writes the same bytes,
+names the same line in an error, and leaves the same earlier chunks on stdout."""
 
 import contextlib
 import io
@@ -16,13 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import text_feature_corpus
-from rareclass import cli
-from rareclass.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+from conftest import text_feature_corpus, write_integer_model
+from rareclass import cli, recognizer
+from rareclass.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_WORKER, main
 from rareclass.dataset import save_corpus
-from rareclass.objective import ModelParams
-from rareclass.recognizer import ModelDocument, save
-from rareclass.rejection import PERCENTILE, RejectionThresholds
 
 TRAIN_FLAGS = ["--iters", "40", "--step", "0.003", "--mu", "1e-4", "--q", "0.05"]
 SRC = str(Path(cli.__file__).resolve().parent.parent)
@@ -53,20 +50,9 @@ def mixed(tmp_path_factory):
     return cases
 
 
-def _int_model(path):
-    """Raw d=3, K=2 model: gc = x0 + x1 - 1, sc1 = x1, sc2 = x2, thresholds 1."""
-    save(ModelDocument(
-        version=1, d=3, K=2,
-        params=ModelParams(w0=[1.0, 1.0, 0.0], b0=-1.0,
-                           W=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], b=[0.0, 0.0]),
-        thresholds=RejectionThresholds(t=np.array([1.0, 1.0]), method=PERCENTILE, q=0.05),
-        representation={"kind": "raw"}, subclass_names=("a", "b")), path)
-    return str(path)
-
-
 @pytest.fixture
 def int_model(tmp_path):
-    return _int_model(tmp_path / "int_model.json")
+    return write_integer_model(tmp_path / "int_model.json")
 
 
 def _cpus(monkeypatch, n):
@@ -96,10 +82,11 @@ class TestPoolMatchesSerial:
         _cpus(monkeypatch, 1)
         rc, serial, err = _predict(capsys, model, stream)
         assert rc == EXIT_OK and _workers(err) == 1 and len(serial.splitlines()) == n
-        _cpus(monkeypatch, 2)
-        rc, pooled, err = _predict(capsys, model, stream)
-        assert rc == EXIT_OK and _workers(err) == (2 if chunk < n else 1)
-        assert pooled == serial
+        for cpus in (2, 3):
+            _cpus(monkeypatch, cpus)
+            rc, pooled, err = _predict(capsys, model, stream)
+            assert rc == EXIT_OK and _workers(err) == (cpus if chunk < n else 1)
+            assert pooled == serial
 
 
 def _good(n):
@@ -178,6 +165,82 @@ class TestWorkers:
         assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
+class TestRoutingStaysInThisProcess:
+    def test_every_chunk_is_routed_here(self, tmp_path, int_model, capsys, monkeypatch):
+        # a wrapper of recognizer.predict_stream in this process, such as a
+        # tracing span, sees every chunk and its counters
+        calls = []
+        route = recognizer.predict_stream
+
+        def recorded(model, X):
+            decisions, stats = route(model, X)
+            calls.append((os.getpid(), len(decisions), stats.sc_evaluations,
+                          sum(stats.known.values()) + stats.emerging))
+            return decisions, stats
+        monkeypatch.setattr(recognizer, "predict_stream", recorded)
+        stream = tmp_path / "s.jsonl"
+        stream.write_text(_good(12))
+        monkeypatch.setattr(cli, "PREDICT_CHUNK", 2)
+        _cpus(monkeypatch, 2)
+        rc, lines, err = _predict(capsys, int_model, str(stream))
+        assert rc == EXIT_OK and _workers(err) == 2 and len(lines.splitlines()) == 12
+        assert [pid for pid, *_ in calls] == [os.getpid()] * 6
+        assert sum(n for _, n, _, _ in calls) == 12
+        assert all(sc == routed for _, _, sc, routed in calls)
+        assert sum(sc for _, _, sc, _ in calls) > 0
+
+
+class TestWorkerDies:
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_exit_4_after_earlier_chunks(self, tmp_path, int_model, to_file):
+        # in a child interpreter with a time limit: the failure this guards against is a hang
+        stream = tmp_path / "s.jsonl"
+        stream.write_text(_good(12))
+        flags = ["--out", str(tmp_path / "d.jsonl")] if to_file else []
+        code = ("import multiprocessing, os, signal\n"
+                "from rareclass import cli\n"
+                "features = cli._chunk_features\n"
+                "def dies_on_line_7(model, chunk):\n"
+                "    if 7 in dict(chunk):\n"
+                "        os.kill(os.getpid(), signal.SIGKILL)\n"
+                "    return features(model, chunk)\n"
+                "cli._chunk_features = dies_on_line_7\n"
+                "cli.PREDICT_CHUNK = 2\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                f"rc = cli.main(['predict', '--model', {int_model!r}, '--input', {str(stream)!r}, *{flags!r}])\n"
+                "print('exit', rc, len(multiprocessing.active_children()))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.stdout.splitlines()[-1] == f"exit {EXIT_WORKER} 0", proc.stderr
+        assert "ended before returning its chunk (exit status -9)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        if to_file:
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["int_model.json", "s.jsonl"]
+        else:
+            # chunks 1-3 (records 0-5) are written; chunk 4, on the second worker, holds line 7
+            lines = proc.stdout.splitlines()[:-1]
+            assert [json.loads(l)["index"] for l in lines] == list(range(6))
+
+
+class TestReadingKeepsPace:
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_at_most_one_job_out_per_worker(self, workers):
+        read = []
+
+        def jobs():
+            for i in range(10):
+                read.append(i)
+                yield i
+        results = []
+        with cli._chunk_mapper(workers) as mapper:
+            for result in mapper(lambda job: 10 * job, jobs()):
+                results.append(result)
+                assert len(read) - len(results) <= workers
+        assert results == [10 * i for i in range(10)]
+        assert multiprocessing.active_children() == []
+
+
 def _record(draw, kind, d):
     """One stream record, as a line, that `predict` must refuse."""
     good = [draw(st.integers(-3, 3)) for _ in range(d)]
@@ -205,7 +268,7 @@ class TestStreamRecordFuzz:
     @given(data=st.data())
     def test_mutated_record_is_refused_naming_its_line(self, tmp_path_factory, data):
         root = tmp_path_factory.mktemp("fuzz")
-        model = _int_model(root / "int_model.json")
+        model = write_integer_model(root / "int_model.json")
         kind = data.draw(st.sampled_from(["type", "null", "bool", "string", "length",
                                           "non-finite", "truncated", "non-object", "text"]))
         at = data.draw(st.integers(0, 11))
