@@ -22,7 +22,7 @@ from .dataset import (CorpusError, RARE, SyntheticConfig, gen_synthetic,
                       load_corpus, parse_line, read_lines, save_corpus)
 from .objective import Hyperparams, ObjectiveError, bind_data
 from .recognizer import KNOWN, Decision, ModelDocument, ModelDocumentError
-from .trainer import DivergenceError, TrainConfig
+from .trainer import BatchSizeError, DivergenceError, TrainConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,32 +56,53 @@ def _decision_line(index: int, d: Decision) -> str:
     return line + (f', "subclass": {d.subclass}}}\n' if d.verdict == KNOWN else "}\n")
 
 
-def _default_seed() -> int:
-    env = os.environ.get("RARE_SEED")
-    return int(env) if env else 0
+def _rule(cast, holds, what: str):
+    """An argparse `type=`: `cast` the text, then refuse a value `holds` rejects. It
+    bears `cast`'s name, so text that does not parse reads `invalid int value: 'abc'`."""
+    def convert(text: str):
+        value = cast(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    convert.__name__ = cast.__name__
+    return convert
+
+
+_POSITIVE_INT = _rule(int, lambda v: v >= 1, "a positive int")
+_NON_NEGATIVE_INT = _rule(int, lambda v: v >= 0, "a non-negative int")
+_AT_LEAST_2 = _rule(int, lambda v: v >= 2, "an int >= 2")
+_AT_LEAST_4 = _rule(int, lambda v: v >= 4, "an int >= 4")
+_NON_NEGATIVE = _rule(float, lambda v: 0 <= v < math.inf, "a finite non-negative float")
+_POSITIVE = _rule(float, lambda v: 0 < v < math.inf, "a finite positive float")
+_MOMENTUM = _rule(float, lambda v: 0 <= v < 1, "a float in [0, 1)")
+_PROBABILITY = _rule(float, lambda v: 0 < v < 1, "a float in (0, 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rareclass", allow_abbrev=False)
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviated flags, so a config key is taken only when spelled like its flag
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=None)
+        # argparse passes a string default through type= too: a bad RARE_SEED is a usage error
+        p.add_argument("--seed", type=int, default=os.environ.get("RARE_SEED") or "0",
+                       help="default: RARE_SEED, else 0")
 
     def add_train_flags(p):
         p.add_argument("--rep", default="tfidf1k",
                        help="tfidf1k | pca:<rank> | raw")
-        p.add_argument("--lambda0", type=float, default=1.0)
-        p.add_argument("--lambdak", type=float, default=1.0)
-        p.add_argument("--mu", type=float, default=1.0)
-        p.add_argument("--iters", type=int, default=500)
-        p.add_argument("--step", type=float, default=None)
-        p.add_argument("--momentum", type=float, default=0.9)
-        p.add_argument("--batch", type=int, default=None)
+        p.add_argument("--lambda0", type=_NON_NEGATIVE, default=1.0)
+        p.add_argument("--lambdak", type=_NON_NEGATIVE, default=1.0)
+        p.add_argument("--mu", type=_NON_NEGATIVE, default=1.0)
+        p.add_argument("--iters", type=_POSITIVE_INT, default=500)
+        p.add_argument("--step", type=_POSITIVE, default=None)
+        p.add_argument("--momentum", type=_MOMENTUM, default=0.9)
+        p.add_argument("--batch", type=_POSITIVE_INT, default=None)
         p.add_argument("--reject", choices=["evt", "percentile"], default="evt")
-        p.add_argument("--q", type=float, default=0.01)
-        p.add_argument("--log-every", type=int, default=0)
+        p.add_argument("--q", type=_PROBABILITY, default=0.01)
+        p.add_argument("--log-every", type=_NON_NEGATIVE_INT, default=0)
 
     p = sub.add_parser("train", help="fit a model and write a model document")
     p.add_argument("--input", required=True)
@@ -105,54 +126,49 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coverage", help="build and solve the word-cover program")
     p.add_argument("--input", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--top-n", type=int, default=20)
+    p.add_argument("--top-n", type=_POSITIVE_INT, default=20)
     p.add_argument("--solver", choices=["exact", "greedy"], default="greedy")
-    p.add_argument("--time-cap", type=float, default=None)
+    p.add_argument("--time-cap", type=_NON_NEGATIVE, default=None)
     p.add_argument("--words-csv", default=None, help="also export ranked word lists as CSV")
     add_common(p)
 
     p = sub.add_parser("bench", help="time fit at n, 2n, 4n on one BLAS thread")
     p.add_argument("--out", default=None)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--d", type=int, default=200)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--mu", type=float, default=1.0)
+    p.add_argument("--n", type=_POSITIVE_INT, default=1000)
+    p.add_argument("--d", type=_AT_LEAST_2, default=200)
+    p.add_argument("--k", type=_POSITIVE_INT, default=4)
+    p.add_argument("--iters", type=_POSITIVE_INT, default=200)
+    p.add_argument("--mu", type=_NON_NEGATIVE, default=1.0)
     add_common(p)
 
     p = sub.add_parser("synth", help="write a synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--d", type=int, default=20)
-    p.add_argument("--k-total", type=int, default=6)
-    p.add_argument("--docs-per-subclass", type=int, default=100)
-    p.add_argument("--majority-docs", type=int, default=600)
-    p.add_argument("--separation", type=float, default=6.0)
-    p.add_argument("--noise", type=float, default=1.0)
+    p.add_argument("--d", type=_AT_LEAST_2, default=20)
+    p.add_argument("--k-total", type=_AT_LEAST_2, default=6)
+    p.add_argument("--docs-per-subclass", type=_AT_LEAST_4, default=100)
+    p.add_argument("--majority-docs", type=_NON_NEGATIVE_INT, default=600)
+    p.add_argument("--separation", type=_NON_NEGATIVE, default=6.0)
+    p.add_argument("--noise", type=_POSITIVE, default=1.0)
     add_common(p)
     return parser
 
 
-def _merge_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
-    """Config-file values fill in flags the user did not pass explicitly."""
-    if not args.config:
-        return args
+def _config_tokens(path: str) -> list[str]:
+    """The config file's entries as `--key=value` flags, for the parser to check like any other."""
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             conf = json.load(fh)
     except (OSError, ValueError) as exc:            # unreadable, or not JSON
-        raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(conf, dict):
-        raise UsageError(f"config file {args.config} is not a JSON object")
-    known = set(vars(args))
-    unknown = [k for k in conf if k.replace("-", "_") not in known]
-    if unknown:
-        raise UsageError(f"unknown config keys: {unknown}")
-    passed = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
+        raise UsageError(f"config file {path} is not a JSON object")
+    tokens = []
     for key, value in conf.items():
-        attr = key.replace("-", "_")
-        if attr not in passed:
-            setattr(args, attr, value)
-    return args
+        if type(value) not in (str, int, float):              # null, a bool, a list or an object
+            raise UsageError(f"config key {key!r} in {path} is {json.dumps(value)}, "
+                             "not a string or a number")
+        tokens.append(f"--{key.replace('_', '-')}={value if type(value) is str else json.dumps(value)}")
+    return tokens
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
@@ -172,25 +188,22 @@ def _parse_rep(rep: str) -> tuple[str, int]:
     raise UsageError(f"unknown representation {rep!r}")
 
 
-def _train_cfg(args) -> TrainConfig:
-    return TrainConfig(max_iters=args.iters, step_size=args.step,
-                       momentum=args.momentum, batch=args.batch,
-                       seed=args.seed, log_every=args.log_every)
-
-
-def _reject_method(args) -> str:
-    return rejection.EVT_POT if args.reject == "evt" else rejection.PERCENTILE
+def _training(args) -> dict:
+    """The `train_document` keywords `train` and `evaluate` share."""
+    representation, pca_rank = _parse_rep(args.rep)
+    return {"hp_template": {"lambda0": args.lambda0, "lambdak": args.lambdak, "mu": args.mu},
+            "cfg": TrainConfig(max_iters=args.iters, step_size=args.step, momentum=args.momentum,
+                               batch=args.batch, seed=args.seed, log_every=args.log_every),
+            "representation": representation, "pca_rank": pca_rank,
+            "reject_method": rejection.EVT_POT if args.reject == "evt" else rejection.PERCENTILE,
+            "q": args.q}
 
 
 def cmd_train(args) -> int:
     corpus = load_corpus(args.input)
-    rep, pca_rank = _parse_rep(args.rep)
     # the whole input corpus is the training set for `train`
-    doc = evaluation.train_document(
-        corpus, range(corpus.n), range(1, corpus.K + 1),
-        {"lambda0": args.lambda0, "lambdak": args.lambdak, "mu": args.mu}, _train_cfg(args),
-        representation=rep, pca_rank=pca_rank,
-        reject_method=_reject_method(args), q=args.q)
+    doc = evaluation.train_document(corpus, range(corpus.n), range(1, corpus.K + 1),
+                                    **_training(args))
     recognizer.save(doc, args.out)
     return EXIT_OK
 
@@ -372,14 +385,8 @@ def cmd_evaluate(args) -> int:
     if args.reps < 1:
         raise UsageError(f"--reps must be at least 1, got {args.reps}")
     corpus = load_corpus(args.input)
-    rep, pca_rank = _parse_rep(args.rep)
-    report = evaluation.run_experiment(
-        corpus,
-        hp_template={"lambda0": args.lambda0, "lambdak": args.lambdak, "mu": args.mu},
-        cfg=_train_cfg(args), repetitions=args.reps, base_seed=args.seed,
-        representation=rep, pca_rank=pca_rank,
-        reject_method=_reject_method(args), q=args.q,
-        config_echo=_effective_config(args))
+    report = evaluation.run_experiment(corpus, repetitions=args.reps, base_seed=args.seed,
+                                       config_echo=_effective_config(args), **_training(args))
     if report.first_error is not None and not report.per_seed:
         # every repetition failed: no report, and the first failure's exit code
         code = _exit_code(report.first_error)
@@ -507,7 +514,7 @@ _NUMERIC_ERRORS = (DivergenceError, ObjectiveError, FloatingPointError)
 
 def _exit_code(exc: Exception) -> int | None:
     """The documented exit code of an error, or None for an unexpected one."""
-    if isinstance(exc, UsageError):
+    if isinstance(exc, (UsageError, BatchSizeError)):
         return EXIT_USAGE
     if isinstance(exc, _DATA_ERRORS):
         return EXIT_DATA
@@ -523,10 +530,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _merge_config(args, argv)
-        if getattr(args, "seed", None) is None:
-            args.seed = _default_seed()
+        if args.config:
+            # the entries go right after the command name, so that flags (after it too) win
+            at = 0
+            while argv[at].startswith("--config"):          # only --config may precede the command
+                at += 1 if "=" in argv[at] else 2
+            args = parser.parse_args(argv[:at + 1] + _config_tokens(args.config) + argv[at + 1:])
         return COMMANDS[args.command](args)
+    except SystemExit as exc:               # argparse's own exit: 2 for a usage error, 0 for -h
+        if exc.code != 2:
+            raise
+        return EXIT_USAGE
     except Exception as exc:
         code = _exit_code(exc)
         if code is None:

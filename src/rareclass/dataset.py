@@ -145,6 +145,14 @@ def record_text(rec: dict) -> str:
     return text or ""
 
 
+def record_subclass(rec: dict) -> str | None:
+    """A record's `subclass`: absent, null or "" is None; anything but a string is a CorpusError."""
+    name = rec.get("subclass")
+    if name is not None and not isinstance(name, str):
+        raise CorpusError("'subclass' is not a string")
+    return name or None
+
+
 def read_lines(path):
     """(line number from 1, line) for each non-blank line of a text file; a
     file that is not UTF-8 is a CorpusError naming it."""
@@ -176,7 +184,7 @@ def _record_to_doc(rec: dict, name_to_id: dict[str, int]) -> Doc:
         raise CorpusError("record is not a JSON object")
     text = record_text(rec)
     label = rec.get("label")
-    sub_name = rec.get("subclass") or None
+    sub_name = record_subclass(rec)
     feats = rec.get("features")
     if feats is not None:
         check_features(feats)
@@ -186,7 +194,7 @@ def _record_to_doc(rec: dict, name_to_id: dict[str, int]) -> Doc:
     if label == RARE:
         if sub_name is None:
             raise CorpusError("rare doc missing subclass")
-        sid = name_to_id.setdefault(str(sub_name), len(name_to_id) + 1)
+        sid = name_to_id.setdefault(sub_name, len(name_to_id) + 1)
         return Doc(text=text, label=RARE, subclass=sid, features=feats)
     if label == MAJORITY:
         if sub_name is not None:

@@ -18,6 +18,10 @@ class DivergenceError(RuntimeError):
     """Loss exploded past the divergence guard, or is not finite."""
 
 
+class BatchSizeError(ValueError):
+    """A minibatch larger than the training set: a usage error, not a fault in the data."""
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     max_iters: int = 500
@@ -89,7 +93,7 @@ def fit(data: BoundData, hp: Hyperparams, cfg: TrainConfig = TrainConfig(),
     rng = np.random.default_rng(cfg.seed)
     m = cfg.batch
     if m is not None and not 1 <= m <= data.n:
-        raise ValueError(f"batch size {m} outside 1..{data.n}")
+        raise BatchSizeError(f"batch size {m} outside 1..{data.n}")
 
     d, K = data.d, data.K
     full = (data.X, data.y_all, data.R, data.Yk)
