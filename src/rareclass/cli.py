@@ -5,19 +5,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import os
 import pickle
-import signal
 import sys
 import time
 
 import numpy as np
 
 from . import coverage as cov
-from . import evaluation, featurize, recognizer, rejection, trainer
+from . import evaluation, featurize, pool, recognizer, rejection, trainer
 from .dataset import (CorpusError, RARE, SyntheticConfig, gen_synthetic,
                       load_corpus, parse_line, read_lines, save_corpus)
 from .objective import Hyperparams, ObjectiveError, bind_data
@@ -78,6 +76,21 @@ _MOMENTUM = _rule(float, lambda v: 0 <= v < 1, "a float in [0, 1)")
 _PROBABILITY = _rule(float, lambda v: 0 < v < 1, "a float in (0, 1)")
 
 
+def _parse_rep(rep: str) -> tuple[str, int] | None:
+    """(representation, pca rank) of a --rep value, or None for a value that names none."""
+    if rep in ("tfidf1k", "raw"):
+        return ("tfidf" if rep == "tfidf1k" else "raw"), 0
+    kind, _, rank = rep.partition(":")
+    with contextlib.suppress(ValueError):
+        if kind == "pca" and int(rank) >= 1:
+            return "pca", int(rank)
+    return None
+
+
+# kept as written, so that a report's config echo reads "pca:30"
+_REP = _rule(str, lambda v: _parse_rep(v) is not None, "tfidf1k, raw or pca:<rank> with a rank >= 1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rareclass", allow_abbrev=False)
     parser.add_argument("--config", help="JSON config file; flags override its values")
@@ -91,8 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default: RARE_SEED, else 0")
 
     def add_train_flags(p):
-        p.add_argument("--rep", default="tfidf1k",
-                       help="tfidf1k | pca:<rank> | raw")
+        p.add_argument("--rep", type=_REP, default="tfidf1k", help="tfidf1k | pca:<rank> | raw")
         p.add_argument("--lambda0", type=_NON_NEGATIVE, default=1.0)
         p.add_argument("--lambdak", type=_NON_NEGATIVE, default=1.0)
         p.add_argument("--mu", type=_NON_NEGATIVE, default=1.0)
@@ -175,19 +187,6 @@ def _effective_config(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "config"}
 
 
-def _parse_rep(rep: str) -> tuple[str, int]:
-    if rep == "tfidf1k":
-        return "tfidf", 0
-    if rep == "raw":
-        return "raw", 0
-    if rep.startswith("pca:"):
-        try:
-            return "pca", int(rep.split(":", 1)[1])
-        except ValueError:
-            raise UsageError(f"bad pca rank in --rep {rep!r}") from None
-    raise UsageError(f"unknown representation {rep!r}")
-
-
 def _training(args) -> dict:
     """The `train_document` keywords `train` and `evaluate` share."""
     representation, pca_rank = _parse_rep(args.rep)
@@ -212,22 +211,6 @@ def cmd_train(args) -> int:
 PREDICT_CHUNK = 4096
 
 
-class WorkerDied(RuntimeError):
-    """A pool worker process ended without returning its chunk (killed, say, for memory)."""
-
-
-def _predict_chunks(path: str):
-    """The stream's non-blank (line number, line) pairs, PREDICT_CHUNK at a time."""
-    chunk = []
-    for pair in read_lines(path):
-        chunk.append(pair)
-        if len(chunk) == PREDICT_CHUNK:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
-
-
 def _chunk_features(model: ModelDocument, chunk: list[tuple[int, str]]) -> np.ndarray:
     """Parse, check and featurize one chunk: the (n, d) array predict routes.
     A bad record is an error naming its line in the input file."""
@@ -242,133 +225,17 @@ def _chunk_features(model: ModelDocument, chunk: list[tuple[int, str]]) -> np.nd
     return model.featurize(records)
 
 
-def _raise(exc: Exception):
-    raise exc
-    yield                                         # a generator: it raises when first read
-
-
-def _look_ahead(chunks):
-    """(the same chunks, whether there are at least two). An error met while
-    reading the second is raised after the first chunk, where a plain loop meets it."""
-    head = list(itertools.islice(chunks, 1))
-    try:
-        head += itertools.islice(chunks, 1)
-    except Exception as exc:
-        return itertools.chain(head, _raise(exc)), False
-    # a list iterator lets go of the list once read, so the first chunks are not held to the end
-    return itertools.chain(iter(head), chunks), len(head) == 2
-
-
-def _serve(fn, pipe, inherited):
-    """A fork-pool worker: fn on each job read from `pipe`, sending back
-    (True, its result) or (False, the error it raised), until the main process
-    closes its end."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)      # Ctrl-C is for the main process to handle
-    for end in inherited:                 # main's ends, so a pipe closes when main lets go of it
-        end.close()
-    while True:
-        try:
-            job = pipe.recv()
-        except EOFError:
-            return
-        try:
-            reply = True, fn(job)
-        except Exception as exc:
-            reply = False, exc
-        try:
-            pipe.send(reply)
-        except OSError:                   # the main process stopped waiting for it
-            return
-
-
-def _worker_died(proc) -> WorkerDied:
-    proc.join()
-    return WorkerDied(f"predict worker process {proc.pid} ended before returning its chunk "
-                      f"(exit status {proc.exitcode})")
-
-
-def _receive(proc, pipe):
-    try:
-        ok, value = pipe.recv()
-    except EOFError:
-        raise _worker_died(proc) from None
-    if not ok:
-        raise value
-    return value
-
-
-def _fork_map(fn, jobs, *, workers: int, started: list):
-    """fn over jobs in `workers` forked processes, results in job order. Job i
-    goes to worker i % workers, which holds one job at a time, so at most
-    `workers` jobs are out and reading keeps pace with the consumer. Each
-    (process, pipe) started is added to `started`, for the caller to stop. An
-    error reading the jobs is raised after the results of the jobs before it."""
-    import multiprocessing                        # only a multi-chunk stream pays for it
-    fork = multiprocessing.get_context("fork")
-    sys.stdout.flush()                            # a worker must not inherit unwritten output
-    sys.stderr.flush()
-    for _ in range(workers):
-        here, there = fork.Pipe()
-        proc = fork.Process(target=_serve, args=(fn, there, [p for _, p in started] + [here]),
-                            daemon=True)
-        proc.start()
-        there.close()
-        started.append((proc, here))
-
-    def outstanding():
-        for i in range(max(sent - workers, 0), sent):
-            yield _receive(*started[i % workers])
-
-    sent, jobs = 0, iter(jobs)
-    while True:
-        try:
-            job = next(jobs)
-        except StopIteration:
-            break
-        except Exception as exc:                  # the chunks read before it come out first
-            yield from outstanding()
-            raise exc
-        proc, pipe = started[sent % workers]
-        # the oldest job out is on this worker: take its result, then hand it the next job
-        result = _receive(proc, pipe) if sent >= workers else None
-        try:
-            pipe.send(job)
-        except OSError:
-            raise _worker_died(proc) from None
-        del job                                   # sent: this process need not hold it meanwhile
-        sent += 1
-        if sent > workers:
-            yield result
-    yield from outstanding()
-
-
-@contextlib.contextmanager
-def _chunk_mapper(workers: int):
-    """A `map`: the builtin one in this process for one worker, else _fork_map
-    over `workers` processes, stopped when the block ends."""
-    started = []
-    try:
-        yield map if workers == 1 else functools.partial(_fork_map, workers=workers, started=started)
-    finally:
-        for proc, pipe in started:
-            pipe.close()
-            proc.terminate()
-            proc.join()
-
-
 def cmd_predict(args) -> int:
     model = recognizer.load(args.model)
     start = time.perf_counter()
     totals = recognizer.StreamStats()
     output = recognizer.atomic_open(args.out) if args.out else contextlib.nullcontext(sys.stdout)
     with output as out:
-        chunks, several = _look_ahead(_predict_chunks(args.input))
-        # every CPU this process may run on, once a second chunk exists
-        workers = len(os.sched_getaffinity(0)) if several and hasattr(os, "sched_getaffinity") else 1
-        with _chunk_mapper(workers) as mapper:
+        chunks = pool.chunked(read_lines(args.input), PREDICT_CHUNK)
+        with pool.map_chunks(functools.partial(_chunk_features, model), chunks) as (features, workers):
             # routed here, not in a worker, so that a wrapper of recognizer.predict_stream in
             # this process, such as a tracing span, sees every chunk
-            for X in mapper(functools.partial(_chunk_features, model), chunks):
+            for X in features:
                 decisions, stats = recognizer.predict_stream(model, X)
                 offset = totals.total
                 out.write("".join(_decision_line(offset + j, d) for j, d in enumerate(decisions)))
@@ -520,7 +387,7 @@ def _exit_code(exc: Exception) -> int | None:
         return EXIT_DATA
     if isinstance(exc, _NUMERIC_ERRORS):
         return EXIT_NUMERIC
-    if isinstance(exc, WorkerDied):
+    if isinstance(exc, pool.WorkerDied):
         return EXIT_WORKER
     return None
 

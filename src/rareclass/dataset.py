@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import pool
 from .featurize import TermCounts, count_terms
 
 RARE = "rare"
@@ -33,6 +35,7 @@ class LabeledCorpus:
     K: int
     id: str = ""
     subclass_names: tuple[str, ...] = ()
+    lines: tuple[int, ...] = ()     # each doc's line in the file it was read from, if it was
 
     def __post_init__(self):
         if len(self.docs) == 0:
@@ -76,14 +79,19 @@ class LabeledCorpus:
         or the word-cover program asks for it."""
         return count_terms([d.text for d in self.docs])
 
-    def feature_matrix(self) -> np.ndarray:
-        """Stack pre-built numeric features; error if any doc lacks them."""
-        rows = []
-        for i, d in enumerate(self.docs):
-            if d.features is None:
-                raise CorpusError(f"doc {i} has no pre-built features")
-            rows.append(d.features)
-        return np.asarray(rows, dtype=np.float64)
+    def feature_matrix(self, rows=None) -> np.ndarray:
+        """The pre-built numeric features of the docs at `rows` (default: every doc),
+        stacked; an error names the first of them that has none."""
+        stacked = []
+        for i in range(self.n) if rows is None else rows:
+            features = self.docs[i].features
+            if features is None:
+                raise CorpusError(f"line {self.lines[i]}: doc has no pre-built features"
+                                  if self.lines else f"doc {i} has no pre-built features")
+            stacked.append(features)
+        if not stacked:                                 # no rows: (0, d), as any other slice
+            return self.feature_matrix()[:0]
+        return np.array(stacked, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -179,65 +187,96 @@ def read_jsonl(path):
         yield lineno, parse_line(lineno, line)
 
 
-def _record_to_doc(rec: dict, name_to_id: dict[str, int]) -> Doc:
-    if not isinstance(rec, dict):
-        raise CorpusError("record is not a JSON object")
-    text = record_text(rec)
-    label = rec.get("label")
-    sub_name = record_subclass(rec)
-    feats = rec.get("features")
-    if feats is not None:
-        check_features(feats)
-        feats = np.asarray(feats, dtype=np.float64)
-        if not np.isfinite(feats).all():
-            raise CorpusError("'features' has a non-finite entry")
-    if label == RARE:
-        if sub_name is None:
+def _record_fields(lineno: int, rec) -> tuple[str, str, str | None, list | None]:
+    """A record's text, label, subclass name and `features` list, each checked;
+    an error names the line."""
+    try:
+        if not isinstance(rec, dict):
+            raise CorpusError("record is not a JSON object")
+        text = record_text(rec)
+        label = rec.get("label")
+        name = record_subclass(rec)
+        features = rec.get("features")
+        if features is not None:
+            check_features(features)
+            if not all(map(math.isfinite, features)):
+                raise CorpusError("'features' has a non-finite entry")
+        if label == RARE and name is None:
             raise CorpusError("rare doc missing subclass")
-        sid = name_to_id.setdefault(sub_name, len(name_to_id) + 1)
-        return Doc(text=text, label=RARE, subclass=sid, features=feats)
-    if label == MAJORITY:
-        if sub_name is not None:
+        if label == MAJORITY and name is not None:
             raise CorpusError("majority doc carries subclass")
-        return Doc(text=text, label=MAJORITY, features=feats)
-    raise CorpusError(f"label must be 'rare' or 'majority', got {label!r}")
+        if label not in (RARE, MAJORITY):
+            raise CorpusError(f"label must be 'rare' or 'majority', got {label!r}")
+    except CorpusError as exc:
+        raise CorpusError(f"line {lineno}: {exc}") from None
+    return text, label, name, features
+
+
+# characters of jsonl lines one process parses at a time
+CORPUS_CHUNK = 2 << 20
+
+
+def _check_chunk(chunk, parse=parse_line):
+    """Parse and check one chunk of (line number, line) pairs, up to its first bad
+    record: ([(line number, text, label, subclass name, features length or None)],
+    the float64 rows of its `features` as one block, the error or None). The block
+    is None when those rows differ in length: one of them then differs from the
+    file's first `features` row, which the caller reports before it reads the block."""
+    records, rows, error = [], [], None
+    for lineno, line in chunk:
+        try:
+            text, label, name, features = _record_fields(lineno, parse(lineno, line))
+        except CorpusError as exc:
+            error = exc
+            break
+        records.append((lineno, text, label, name, None if features is None else len(features)))
+        if features is not None:
+            rows.append(features)
+    block = np.array(rows, dtype=np.float64) if len(set(map(len, rows))) <= 1 else None
+    return records, block, error
+
+
+def _gather(results) -> tuple[list[Doc], list[int], tuple[str, ...]]:
+    """The docs, their line numbers and the subclass names, in first-appearance
+    order, from checked chunks in file order; the first error in the file is raised."""
+    name_to_id: dict[str, int] = {}
+    docs, lines, d = [], [], None                   # d: length of the first features row
+    for records, block, error in results:
+        for lineno, *_, length in records:
+            if length is None:
+                continue
+            if d is None:
+                d = length
+            elif length != d:
+                raise CorpusError(f"line {lineno}: feature dimension {length} != {d} "
+                                  "of the first features row")
+        rows = iter(block)                          # every length is d: the block is whole
+        for lineno, text, label, name, length in records:
+            sid = name_to_id.setdefault(name, len(name_to_id) + 1) if label == RARE else None
+            docs.append(Doc(text, label, sid, None if length is None else next(rows)))
+            lines.append(lineno)
+        if error is not None:
+            raise error
+    return docs, lines, tuple(sorted(name_to_id, key=name_to_id.get))
 
 
 def load_corpus(path, format: str = "jsonl", corpus_id: str = "") -> LabeledCorpus:
-    """Load a corpus from jsonl or csv; subclass names get ids 1..K in first-appearance order."""
-    name_to_id: dict[str, int] = {}
-    docs: list[Doc] = []
-    d = None                                     # length of the first features row
-
-    def add(rec, lineno: int) -> None:
-        nonlocal d
-        try:
-            doc = _record_to_doc(rec, name_to_id)
-            if doc.features is not None:
-                if d is None:
-                    d = len(doc.features)
-                elif len(doc.features) != d:
-                    raise CorpusError(
-                        f"feature dimension {len(doc.features)} != {d} of the first features row")
-        except CorpusError as exc:
-            raise CorpusError(f"line {lineno}: {exc}") from None
-        docs.append(doc)
-
+    """Load a corpus from jsonl or csv; subclass names get ids 1..K in first-appearance order.
+    A jsonl file of more than one chunk is parsed on every CPU this process may use."""
     if format == "jsonl":
-        for lineno, rec in read_jsonl(path):
-            add(rec, lineno)
+        chunks = pool.chunked(read_lines(path), CORPUS_CHUNK, weight=lambda pair: len(pair[1]))
+        with pool.map_chunks(_check_chunk, chunks) as (results, _):
+            docs, lines, names = _gather(results)
     elif format == "csv":
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            for lineno, row in enumerate(reader, start=2):
-                add(row, lineno)
+            rows = enumerate(csv.DictReader(fh), start=2)
+            docs, lines, names = _gather([_check_chunk(rows, parse=lambda lineno, row: row)])
     else:
         raise CorpusError(f"unknown format {format!r}")
     if not docs:
         raise CorpusError("empty corpus")
-    K = len(name_to_id)
-    names = tuple(sorted(name_to_id, key=name_to_id.get))
-    return LabeledCorpus(docs=tuple(docs), K=K, id=corpus_id or str(path), subclass_names=names)
+    return LabeledCorpus(docs=tuple(docs), K=len(names), id=corpus_id or str(path),
+                         subclass_names=names, lines=tuple(lines))
 
 
 def save_corpus(corpus: LabeledCorpus, path) -> None:

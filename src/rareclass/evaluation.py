@@ -177,7 +177,7 @@ def train_document(corpus: LabeledCorpus, rows, subclasses, hp_template: dict,
     calibrate the SC thresholds: the one path from corpus rows to a model."""
     rows = list(rows)
     if representation == "raw":
-        X = corpus.feature_matrix()[rows]
+        X = corpus.feature_matrix(rows)
         descriptor, vocab, proj = {"kind": "raw", "d": X.shape[1]}, None, None
     elif representation in ("tfidf", "pca"):
         counts = corpus.term_counts.rows(rows)
@@ -220,7 +220,7 @@ def run_single(corpus: LabeledCorpus, hp_template: dict, cfg: trainer.TrainConfi
                          reject_method=reject_method, q=q)
     test_order = list(split.test_seen) + list(split.test_unseen) + list(split.test_majority)
     if representation == "raw":
-        Xte = corpus.feature_matrix()[test_order]
+        Xte = corpus.feature_matrix(test_order)
     else:
         Xte = doc.text_features(corpus.term_counts.rows(test_order))
 

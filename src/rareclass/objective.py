@@ -93,7 +93,7 @@ class Hyperparams:
 
 
 def _fingerprint(X: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(X, dtype=np.float64).tobytes()).hexdigest()
+    return hashlib.sha256(np.ascontiguousarray(X, dtype=np.float64).data).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,37 @@ class TestSubclassRule:
         assert load_corpus(corpus).subclass_names == ("a", "b")
 
 
+class TestMissingFeatures:
+    @pytest.mark.parametrize("missing", ["absent", "null"])
+    def test_raw_train_names_the_line(self, tmp_path, missing):
+        records = _records()
+        if missing == "absent":
+            del records[2]["features"]
+        else:
+            records[2]["features"] = None
+        corpus = tmp_path / "c.jsonl"
+        _write(corpus, [json.dumps(rec) for rec in records])
+        rc, err = _run("train", corpus, tmp_path / "out.json")
+        assert rc == EXIT_DATA
+        assert "error: line 4: doc has no pre-built features" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+
+    def test_a_generated_corpus_names_the_doc(self, tiny_corpus):
+        with pytest.raises(CorpusError, match="^doc 0 has no pre-built features$"):
+            tiny_corpus.feature_matrix()
+
+    def test_only_the_rows_asked_for(self, tmp_path):
+        records = _records()
+        del records[2]["features"]
+        corpus = tmp_path / "c.jsonl"
+        _write(corpus, [json.dumps(rec) for rec in records])
+        corpus = load_corpus(corpus)
+        assert corpus.feature_matrix([1, 0, 3]).tolist() == [
+            records[i]["features"] for i in (1, 0, 3)]
+        with pytest.raises(CorpusError, match="^line 4: "):
+            corpus.feature_matrix([0, 2])
+
+
 def _mutant(draw, kind, rec):
     """`rec`, as a line, broken in the way `kind` names."""
     rec = dict(rec)

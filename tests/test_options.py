@@ -97,6 +97,29 @@ class TestUsageErrors:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rep", ["pca:0", "pca:-3", "pca:", "pca:x", "pca", "tfidf2k", ""])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+    def test_bad_rep(self, tmp_path, corpus_file, capsys, rep, command, by_config):
+        out = tmp_path / "o.json"
+        argv = [command, "--input", corpus_file, "--iters", "5", "--out", str(out)]
+        if by_config:
+            (tmp_path / "conf.json").write_text(json.dumps({"rep": rep}))
+            argv = ["--config", str(tmp_path / "conf.json"), *argv]
+        else:
+            argv += [f"--rep={rep}"]
+        rc, err = _run(capsys, argv)
+        assert rc == EXIT_USAGE
+        assert (f"argument --rep: {rep!r} is not tfidf1k, raw or pca:<rank> with a rank >= 1"
+                in err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rep", ["raw", "pca:1", "pca:3", "tfidf1k"])
+    def test_good_rep_is_kept_as_written(self, monkeypatch, rep):
+        seen = _recorded(monkeypatch)
+        assert main(["evaluate", "--input", "i", "--rep", rep]) == EXIT_OK
+        assert seen[0].rep == rep
+
     def test_batch_larger_than_every_training_set(self, tmp_path, corpus_file, capsys):
         out = tmp_path / "r.json"
         rc, err = _run(capsys, ["evaluate", "--input", corpus_file, "--rep", "raw", "--iters", "5",
@@ -245,6 +268,11 @@ def _text(v):
     return v is None or type(v) is str
 
 
+def _rep(v):
+    kind, _, rank = v.partition(":")
+    return v in ("tfidf1k", "raw") or (kind == "pca" and int(rank) >= 1)
+
+
 # the rule each recorded value must satisfy, and the cast that reads its text
 RULES = {
     "seed": (int, _int(-math.inf)), "reps": (int, _int(-math.inf)),
@@ -259,7 +287,7 @@ RULES = {
     "momentum": (float, _float(lambda v: 0 <= v < 1)), "q": (float, _float(lambda v: 0 < v < 1)),
     "reject": (str, lambda v: v in ("evt", "percentile")),
     "solver": (str, lambda v: v in ("exact", "greedy")),
-    "rep": (str, _text), "input": (str, _text), "out": (str, _text), "model": (str, _text),
+    "rep": (str, _rep), "input": (str, _text), "out": (str, _text), "model": (str, _text),
     "words_csv": (str, _text),
 }
 TRAIN_KEYS = ["rep", "lambda0", "lambdak", "mu", "iters", "step", "momentum", "batch", "reject",

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import text_feature_corpus, write_integer_model
-from rareclass import cli, recognizer
+from rareclass import cli, pool, recognizer
 from rareclass.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_WORKER, main
 from rareclass.dataset import save_corpus
 
@@ -233,7 +233,7 @@ class TestReadingKeepsPace:
                 read.append(i)
                 yield i
         results = []
-        with cli._chunk_mapper(workers) as mapper:
+        with pool._chunk_mapper(workers) as mapper:
             for result in mapper(lambda job: 10 * job, jobs()):
                 results.append(result)
                 assert len(read) - len(results) <= workers
