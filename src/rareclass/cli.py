@@ -27,6 +27,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_WORKER = 4
+EXIT_PIPE = 141         # 128 + SIGPIPE, what a shell reports for a program the signal ends
 
 
 class UsageError(ValueError):
@@ -374,8 +375,7 @@ COMMANDS = {
 
 
 _DATA_ERRORS = (CorpusError, ModelDocumentError, cov.CoverageError, featurize.FeaturizeError,
-                rejection.RejectionError, evaluation.EvalError, FileNotFoundError,
-                IsADirectoryError)
+                rejection.RejectionError, evaluation.EvalError)
 _NUMERIC_ERRORS = (DivergenceError, ObjectiveError, FloatingPointError)
 
 
@@ -383,8 +383,8 @@ def _exit_code(exc: Exception) -> int | None:
     """The documented exit code of an error, or None for an unexpected one."""
     if isinstance(exc, (UsageError, BatchSizeError)):
         return EXIT_USAGE
-    if isinstance(exc, _DATA_ERRORS):
-        return EXIT_DATA
+    if isinstance(exc, _DATA_ERRORS) or isinstance(exc, OSError) and exc.filename is not None:
+        return EXIT_DATA                    # an OSError with a file name: a path that cannot be used
     if isinstance(exc, _NUMERIC_ERRORS):
         return EXIT_NUMERIC
     if isinstance(exc, pool.WorkerDied):
@@ -404,6 +404,13 @@ def main(argv: list[str] | None = None) -> int:
                 at += 1 if "=" in argv[at] else 2
             args = parser.parse_args(argv[:at + 1] + _config_tokens(args.config) + argv[at + 1:])
         return COMMANDS[args.command](args)
+    except BrokenPipeError:
+        # stdout's reader went away (`predict ... | head -1`): stdout now goes to devnull,
+        # so that the interpreter's final flush of what is left cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except SystemExit as exc:               # argparse's own exit: 2 for a usage error, 0 for -h
         if exc.code != 2:
             raise

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -36,6 +36,9 @@ class LabeledCorpus:
     id: str = ""
     subclass_names: tuple[str, ...] = ()
     lines: tuple[int, ...] = ()     # each doc's line in the file it was read from, if it was
+    # every doc's features as one read-only (n, d) matrix, which each Doc.features is a
+    # row of; None for a corpus built Doc by Doc or with a doc that has no features
+    features: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.docs) == 0:
@@ -81,7 +84,15 @@ class LabeledCorpus:
 
     def feature_matrix(self, rows=None) -> np.ndarray:
         """The pre-built numeric features of the docs at `rows` (default: every doc),
-        stacked; an error names the first of them that has none."""
+        stacked; an error names the first of them that has none. For a corpus that
+        holds its `features` matrix, every row in order is that read-only matrix
+        itself, not a copy, and any other rows are a copy."""
+        if self.features is not None:
+            if rows is None:
+                return self.features
+            rows = np.asarray(rows, dtype=np.intp)
+            in_order = len(rows) == self.n and np.array_equal(rows, np.arange(self.n))
+            return self.features if in_order else self.features[rows]
         stacked = []
         for i in range(self.n) if rows is None else rows:
             features = self.docs[i].features
@@ -216,14 +227,17 @@ def _record_fields(lineno: int, rec) -> tuple[str, str, str | None, list | None]
 CORPUS_CHUNK = 2 << 20
 
 
-def _check_chunk(chunk, parse=parse_line):
+def _check_chunk(chunk: list, parse=parse_line):
     """Parse and check one chunk of (line number, line) pairs, up to its first bad
     record: ([(line number, text, label, subclass name, features length or None)],
     the float64 rows of its `features` as one block, the error or None). The block
     is None when those rows differ in length: one of them then differs from the
-    file's first `features` row, which the caller reports before it reads the block."""
+    file's first `features` row, which the caller reports before it reads the block.
+    Each line is dropped from the chunk once parsed, so the chunk does not hold it."""
     records, rows, error = [], [], None
-    for lineno, line in chunk:
+    chunk.reverse()
+    while chunk:
+        lineno, line = chunk.pop()
         try:
             text, label, name, features = _record_fields(lineno, parse(lineno, line))
         except CorpusError as exc:
@@ -236,13 +250,15 @@ def _check_chunk(chunk, parse=parse_line):
     return records, block, error
 
 
-def _gather(results) -> tuple[list[Doc], list[int], tuple[str, ...]]:
-    """The docs, their line numbers and the subclass names, in first-appearance
-    order, from checked chunks in file order; the first error in the file is raised."""
+def _gather(results) -> tuple[list[Doc], list[int], tuple[str, ...], np.ndarray | None]:
+    """(the docs, their line numbers, the subclass names in first-appearance order,
+    the read-only matrix of every doc's features or None if a doc has none) from
+    checked chunks in file order; the first error in the file is raised. Each
+    Doc.features is a row of one matrix of the docs that have features."""
     name_to_id: dict[str, int] = {}
-    docs, lines, d = [], [], None                   # d: length of the first features row
-    for records, block, error in results:
-        for lineno, *_, length in records:
+    records, blocks, d = [], [], None               # d: length of the first features row
+    for chunk_records, block, error in results:
+        for lineno, *_, length in chunk_records:
             if length is None:
                 continue
             if d is None:
@@ -250,14 +266,26 @@ def _gather(results) -> tuple[list[Doc], list[int], tuple[str, ...]]:
             elif length != d:
                 raise CorpusError(f"line {lineno}: feature dimension {length} != {d} "
                                   "of the first features row")
-        rows = iter(block)                          # every length is d: the block is whole
-        for lineno, text, label, name, length in records:
-            sid = name_to_id.setdefault(name, len(name_to_id) + 1) if label == RARE else None
-            docs.append(Doc(text, label, sid, None if length is None else next(rows)))
-            lines.append(lineno)
         if error is not None:
             raise error
-    return docs, lines, tuple(sorted(name_to_id, key=name_to_id.get))
+        records += chunk_records
+        if len(block):              # not None, as every length is d; empty with no features
+            blocks.append(block)
+    matrix, at = np.empty((sum(map(len, blocks)), d or 0)), 0
+    blocks.reverse()
+    while blocks:                   # each block goes once copied, so no two copies are held
+        block = blocks.pop()
+        matrix[at:at + len(block)] = block
+        at += len(block)
+    matrix.flags.writeable = False
+    rows = iter(matrix)
+    docs, lines = [], []
+    for lineno, text, label, name, length in records:
+        sid = name_to_id.setdefault(name, len(name_to_id) + 1) if label == RARE else None
+        docs.append(Doc(text, label, sid, None if length is None else next(rows)))
+        lines.append(lineno)
+    names = tuple(sorted(name_to_id, key=name_to_id.get))
+    return docs, lines, names, matrix if len(matrix) == len(docs) else None
 
 
 def load_corpus(path, format: str = "jsonl", corpus_id: str = "") -> LabeledCorpus:
@@ -266,17 +294,17 @@ def load_corpus(path, format: str = "jsonl", corpus_id: str = "") -> LabeledCorp
     if format == "jsonl":
         chunks = pool.chunked(read_lines(path), CORPUS_CHUNK, weight=lambda pair: len(pair[1]))
         with pool.map_chunks(_check_chunk, chunks) as (results, _):
-            docs, lines, names = _gather(results)
+            docs, lines, names, features = _gather(results)
     elif format == "csv":
         with open(path, encoding="utf-8", newline="") as fh:
-            rows = enumerate(csv.DictReader(fh), start=2)
-            docs, lines, names = _gather([_check_chunk(rows, parse=lambda lineno, row: row)])
+            rows = list(enumerate(csv.DictReader(fh), start=2))
+            docs, lines, names, features = _gather([_check_chunk(rows, parse=lambda lineno, row: row)])
     else:
         raise CorpusError(f"unknown format {format!r}")
     if not docs:
         raise CorpusError("empty corpus")
     return LabeledCorpus(docs=tuple(docs), K=len(names), id=corpus_id or str(path),
-                         subclass_names=names, lines=tuple(lines))
+                         subclass_names=names, lines=tuple(lines), features=features)
 
 
 def save_corpus(corpus: LabeledCorpus, path) -> None:
@@ -382,9 +410,9 @@ def gen_synthetic(cfg: SyntheticConfig) -> LabeledCorpus:
             for col in group[1:]:
                 X[:, col] = X[:, base] + 0.01 * cfg.noise_scale * rng.standard_normal(len(X))
 
-    docs = tuple(
-        Doc(text="", label=lab, subclass=sub, features=X[i].copy())
-        for i, (lab, sub) in enumerate(zip(labels, subs))
-    )
+    X.flags.writeable = False
+    docs = tuple(Doc(text="", label=lab, subclass=sub, features=row)
+                 for lab, sub, row in zip(labels, subs, X))
     names = tuple(f"synthetic-{k}" for k in range(1, K + 1))
-    return LabeledCorpus(docs=docs, K=K, id=f"synthetic-seed{cfg.seed}", subclass_names=names)
+    return LabeledCorpus(docs=docs, K=K, id=f"synthetic-seed{cfg.seed}", subclass_names=names,
+                         features=X)

@@ -56,7 +56,7 @@ def _serve(fn, pipe, inherited):
     while True:
         try:
             job = pipe.recv()
-        except EOFError:
+        except (EOFError, OSError):       # main closed its end (a reset if it left a reply unread)
             return
         try:
             reply = True, fn(job)

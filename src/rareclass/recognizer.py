@@ -226,7 +226,10 @@ def _stack_rows(model: ModelDocument, source: Iterable[np.ndarray]) -> np.ndarra
 def atomic_open(path):
     """A text file that replaces `path` when the block ends and is deleted if the block raises."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:                  # named by the path asked for, not the temporary file
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh

@@ -644,6 +644,35 @@ class TestErrorsAndSeeds:
         assert "Is a directory" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--input"), ("train", "--out"), ("predict", "--input"), ("predict", "--model"),
+        ("predict", "--out"), ("evaluate", "--input"), ("evaluate", "--out"),
+        ("coverage", "--input"), ("coverage", "--out"),
+    ])
+    @pytest.mark.parametrize("parent, message", [
+        ("f", "Not a directory"),                    # f is a regular file
+        ("nodir", "No such file or directory"),
+    ], ids=["under-a-file", "missing-dir"])
+    def test_unusable_path_is_data_error_naming_it(self, tmp_path, monkeypatch, capsys, synth_file,
+                                                   text_file, integer_model, command, flag,
+                                                   parent, message):
+        monkeypatch.chdir(tmp_path)
+        Path("f").write_text("")
+        stream = _features_stream(tmp_path / "s.jsonl", [[1, 0, 2]])
+        quick = ["--rep", "raw", "--iters", "5", "--reject", "percentile"]
+        argv = {"train": ["train", "--input", synth_file, "--out", "o.json", *quick],
+                "predict": ["predict", "--model", integer_model, "--input", stream, "--out", "o.json"],
+                "evaluate": ["evaluate", "--input", synth_file, "--out", "o.json", "--reps", "1", *quick],
+                "coverage": ["coverage", "--input", text_file, "--out", "o.json"]}[command]
+        given = f"{parent}/x"
+        argv[argv.index(flag) + 1] = given
+        before = sorted(p.name for p in tmp_path.iterdir())
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert err == f"error: [Errno {20 if parent == 'f' else 2}] {message}: {given!r}\n", err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("content, message", [
         (None, "No such file"),
         ('{"reps": 1,', "Expecting"),

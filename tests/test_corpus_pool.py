@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import test_corpus_records as records
 from conftest import text_feature_corpus
-from rareclass import dataset, pool
+from rareclass import dataset, evaluation, objective, pool, trainer
 from rareclass.cli import EXIT_DATA, EXIT_OK, EXIT_WORKER, main
 from rareclass.dataset import CorpusError, load_corpus, save_corpus
 
@@ -81,6 +81,72 @@ class TestSameCorpus:
         chunked = load_corpus(corpus_file)
         assert whole.feature_matrix().tobytes() == chunked.feature_matrix().tobytes()
         assert [d.subclass for d in whole.docs] == [d.subclass for d in chunked.docs]
+
+
+class TestOneFeatureMatrix:
+    """A numeric corpus read through the pool holds its features once: one read-only
+    matrix, whose rows are the docs' features, and which `train` trains on in place."""
+
+    @pytest.fixture
+    def pooled(self, corpus_file, small_chunks, monkeypatch):
+        _cpus(monkeypatch, 2)
+        corpus = load_corpus(corpus_file)
+        assert multiprocessing.active_children() == []
+        return corpus
+
+    def test_read_only_and_shared_with_every_doc(self, pooled):
+        X = pooled.feature_matrix()
+        assert X.shape == (144, 5) and X.dtype == np.float64
+        assert not X.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            X[0, 0] = 1.0
+        assert pooled.feature_matrix() is X and pooled.feature_matrix(range(pooled.n)) is X
+        for i, doc in enumerate(pooled.docs):
+            assert np.shares_memory(doc.features, X[i])
+            assert not doc.features.flags.writeable
+
+    def test_equals_the_per_doc_stack(self, pooled):
+        stack = np.array([doc.features for doc in pooled.docs], dtype=np.float64)
+        assert pooled.feature_matrix().tobytes() == stack.tobytes()
+        rows = [100, 3, 57, 3, 0, 143]
+        subset = pooled.feature_matrix(rows)
+        assert subset.tobytes() == stack[rows].tobytes()
+        assert subset.flags.writeable and not np.shares_memory(subset, pooled.feature_matrix())
+        backwards = pooled.feature_matrix(range(pooled.n - 1, -1, -1))
+        assert backwards.tobytes() == stack[::-1].tobytes()
+        assert pooled.feature_matrix([]).shape == (0, 5)
+
+    def test_train_binds_the_matrix_without_a_copy(self, pooled, monkeypatch):
+        bound = []
+
+        def bind_data(X, *args):
+            bound.append(X)
+            return objective.bind_data(X, *args)
+        monkeypatch.setattr(evaluation, "bind_data", bind_data)
+        evaluation.train_document(pooled, range(pooled.n), range(1, pooled.K + 1), {"mu": 1e-4},
+                                  trainer.TrainConfig(max_iters=5, step_size=0.003))
+        assert len(bound) == 1 and bound[0] is pooled.feature_matrix()
+
+    def test_a_row_without_features_keeps_the_per_doc_stack(self, tmp_path, monkeypatch):
+        lines = _lines(40)
+        lines[30] = json.dumps({"label": "majority"})
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(dataset, "CORPUS_CHUNK", 1000)
+        _cpus(monkeypatch, 2)
+        corpus = load_corpus(path)
+        assert corpus.features is None
+        assert corpus.feature_matrix([0, 1]).tolist() == [json.loads(lines[i])["features"]
+                                                          for i in (0, 1)]
+        with pytest.raises(CorpusError, match="^line 31: doc has no pre-built features$"):
+            corpus.feature_matrix()
+
+    def test_a_generated_corpus_hands_over_its_matrix(self):
+        corpus = dataset.gen_synthetic(dataset.SyntheticConfig(
+            d=4, K_total=2, docs_per_subclass=5, majority_docs=5, subclass_separation=3.0, seed=1))
+        X = corpus.feature_matrix()
+        assert not X.flags.writeable and X.shape == (15, 4)
+        assert all(np.shares_memory(doc.features, X[i]) for i, doc in enumerate(corpus.docs))
 
 
 class TestSameBytes:

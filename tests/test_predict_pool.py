@@ -223,6 +223,40 @@ class TestWorkerDies:
             assert [json.loads(l)["index"] for l in lines] == list(range(6))
 
 
+def _processes_naming(marker: str) -> list[int]:
+    """The live processes whose command line holds `marker` (a zombie's is empty)."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        with contextlib.suppress(OSError), open(f"/proc/{entry}/cmdline", "rb") as fh:
+            if marker.encode() in fh.read():
+                pids.append(int(entry))
+    return pids
+
+
+class TestReaderGoesAway:
+    @pytest.mark.skipif(not os.path.isdir("/proc") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs /proc and two CPUs, for the pool to run")
+    def test_closed_stdout_is_exit_141_without_traceback(self, tmp_path, int_model):
+        # `predict ... | head -1`: the reader takes one line and closes the pipe
+        stream = tmp_path / "s.jsonl"
+        stream.write_text(_good(5 * cli.PREDICT_CHUNK))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-m", "rareclass.cli", "predict", "--model", int_model,
+                                 "--input", str(stream)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
+        finally:
+            proc.kill()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert json.loads(first)["index"] == 0
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+        assert _processes_naming(str(stream)) == []
+
+
 class TestReadingKeepsPace:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_at_most_one_job_out_per_worker(self, workers):
