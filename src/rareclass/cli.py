@@ -16,8 +16,8 @@ import numpy as np
 
 from . import coverage as cov
 from . import evaluation, featurize, pool, recognizer, rejection, trainer
-from .dataset import (CorpusError, RARE, SyntheticConfig, gen_synthetic,
-                      load_corpus, parse_line, read_lines, save_corpus)
+from .dataset import (CorpusError, RARE, SyntheticConfig, atomic_open, atomic_write,
+                      gen_synthetic, load_corpus, parse_line, read_lines, save_corpus)
 from .objective import Hyperparams, ObjectiveError, bind_data
 from .recognizer import KNOWN, Decision, ModelDocument, ModelDocumentError
 from .trainer import BatchSizeError, DivergenceError, TrainConfig
@@ -27,6 +27,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_WORKER = 4
+EXIT_INTERRUPT = 130    # 128 + SIGINT, what a shell reports for a program Ctrl-C ends
 EXIT_PIPE = 141         # 128 + SIGPIPE, what a shell reports for a program the signal ends
 
 
@@ -230,7 +231,7 @@ def cmd_predict(args) -> int:
     model = recognizer.load(args.model)
     start = time.perf_counter()
     totals = recognizer.StreamStats()
-    output = recognizer.atomic_open(args.out) if args.out else contextlib.nullcontext(sys.stdout)
+    output = atomic_open(args.out) if args.out else contextlib.nullcontext(sys.stdout)
     with output as out:
         chunks = pool.chunked(read_lines(args.input), PREDICT_CHUNK)
         with pool.map_chunks(functools.partial(_chunk_features, model), chunks) as (features, workers):
@@ -264,7 +265,7 @@ def cmd_evaluate(args) -> int:
         return code
     payload = _dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     if args.out:
-        recognizer.atomic_write(args.out, payload)
+        atomic_write(args.out, payload)
     sys.stdout.write(report.to_text())
     return EXIT_OK
 
@@ -280,9 +281,9 @@ def cmd_coverage(args) -> int:
     report = cov.coverage_report(sol, program)
     report["config"] = _effective_config(args)
     if args.out:
-        recognizer.atomic_write(args.out, _dumps(cov.report_for_json(report), indent=2, sort_keys=True) + "\n")
+        atomic_write(args.out, _dumps(cov.report_for_json(report), indent=2, sort_keys=True) + "\n")
     if args.words_csv:
-        recognizer.atomic_write(args.words_csv, cov.report_words_csv(report))
+        atomic_write(args.words_csv, cov.report_words_csv(report))
     sys.stdout.write(cov.report_text(report))
     return EXIT_OK
 
@@ -348,7 +349,7 @@ def cmd_bench(args) -> int:
     payload = {"timings": timings, "ratios": ratios, "config": _effective_config(args)}
     text = _dumps(payload, indent=2) + "\n"
     if args.out:
-        recognizer.atomic_write(args.out, text)
+        atomic_write(args.out, text)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -396,13 +397,15 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            # the entries go right after the command name, so that flags (after it too) win
-            at = 0
-            while argv[at].startswith("--config"):          # only --config may precede the command
-                at += 1 if "=" in argv[at] else 2
-            args = parser.parse_args(argv[:at + 1] + _config_tokens(args.config) + argv[at + 1:])
+        # the first parse finds the command and the config file; its --seed keeps it from
+        # converting the default, so that only the final parse reads RARE_SEED, below the file
+        args = parser.parse_args(argv + ["--seed=0"])
+        # the entries go right after the command name, so that flags (after it too) win
+        at = 0
+        while argv[at].startswith("--config"):              # only --config may precede the command
+            at += 1 if "=" in argv[at] else 2
+        tokens = _config_tokens(args.config) if args.config else []
+        args = parser.parse_args(argv[:at + 1] + tokens + argv[at + 1:])
         return COMMANDS[args.command](args)
     except BrokenPipeError:
         # stdout's reader went away (`predict ... | head -1`): stdout now goes to devnull,
@@ -411,6 +414,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
+    except KeyboardInterrupt:               # Ctrl-C: the workers and any temporary file are gone by now
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
     except SystemExit as exc:               # argparse's own exit: 2 for a usage error, 0 for -h
         if exc.code != 2:
             raise

@@ -122,9 +122,7 @@ def _bits(col: np.ndarray) -> int:
     return sum(1 << i for i in np.flatnonzero(col).tolist())
 
 
-def solve_exact(p: CoverProgram, max_words: int = EXACT_MAX_WORDS,
-                max_docs: int = EXACT_MAX_DOCS,
-                time_cap: float | None = None) -> CoverSolution:
+def solve_exact(p: CoverProgram, time_cap: float | None = None) -> CoverSolution:
     """Depth-first branch-and-bound over per-word assignments.
 
     Exonerations, o, alpha and beta are derived tight values given the word
@@ -137,10 +135,10 @@ def solve_exact(p: CoverProgram, max_words: int = EXACT_MAX_WORDS,
     """
     d, K = p.d, p.K
     total_docs = sum(len(b) for b in p.R_blocks) + len(p.N)
-    if d > max_words or total_docs > max_docs:
+    if d > EXACT_MAX_WORDS or total_docs > EXACT_MAX_DOCS:
         raise CoverageError(
             f"instance ({d} words, {total_docs} docs) exceeds exact caps "
-            f"({max_words} words, {max_docs} docs)")
+            f"({EXACT_MAX_WORDS} words, {EXACT_MAX_DOCS} docs)")
 
     start = time.monotonic()
     R_all = p.R_all

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -15,6 +18,7 @@ from .featurize import TermCounts, count_terms
 
 RARE = "rare"
 MAJORITY = "majority"
+TRAIN_FRACTION = 0.8    # of each seen subclass, and of the majority, that a split trains on
 
 
 class CorpusError(ValueError):
@@ -288,7 +292,7 @@ def _gather(results) -> tuple[list[Doc], list[int], tuple[str, ...], np.ndarray 
     return docs, lines, names, matrix if len(matrix) == len(docs) else None
 
 
-def load_corpus(path, format: str = "jsonl", corpus_id: str = "") -> LabeledCorpus:
+def load_corpus(path, format: str = "jsonl") -> LabeledCorpus:
     """Load a corpus from jsonl or csv; subclass names get ids 1..K in first-appearance order.
     A jsonl file of more than one chunk is parsed on every CPU this process may use."""
     if format == "jsonl":
@@ -303,30 +307,56 @@ def load_corpus(path, format: str = "jsonl", corpus_id: str = "") -> LabeledCorp
         raise CorpusError(f"unknown format {format!r}")
     if not docs:
         raise CorpusError("empty corpus")
-    return LabeledCorpus(docs=tuple(docs), K=len(names), id=corpus_id or str(path),
+    return LabeledCorpus(docs=tuple(docs), K=len(names), id=str(path),
                          subclass_names=names, lines=tuple(lines), features=features)
 
 
+@contextlib.contextmanager
+def atomic_open(path):
+    """A text file that replaces `path` when the block ends and is deleted if the block raises."""
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:                  # named by the path asked for, not the temporary file
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def atomic_write(path, payload: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(payload)
+
+
 def save_corpus(corpus: LabeledCorpus, path) -> None:
-    """Write a corpus back to jsonl (inverse of load_corpus for the jsonl format)."""
+    """Write a corpus back to jsonl (inverse of load_corpus for the jsonl format), as
+    strict JSON: a non-finite feature is a CorpusError naming its doc, and nothing is written."""
     names = corpus.subclass_names or tuple(str(k) for k in range(1, corpus.K + 1))
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in corpus.docs:
+    with atomic_open(path) as fh:
+        for i, doc in enumerate(corpus.docs):
             rec = {"text": doc.text, "label": doc.label}
             if doc.label == RARE:
                 rec["subclass"] = names[doc.subclass - 1]
             if doc.features is not None:
                 rec["features"] = [float(v) for v in doc.features]
-            fh.write(json.dumps(rec) + "\n")
+            try:
+                fh.write(json.dumps(rec, allow_nan=False) + "\n")
+            except ValueError:              # only a feature can be non-finite
+                raise CorpusError(f"doc {i}: 'features' has a non-finite entry") from None
 
 
 def split_protocol(corpus: LabeledCorpus, seed: int,
-                   seen_fraction: float = 2.0 / 3.0,
-                   train_fraction: float = 0.8) -> SplitResult:
+                   seen_fraction: float = 2.0 / 3.0) -> SplitResult:
     """Randomly hold out unseen subclasses and split the rest 80/20, deterministically per seed."""
     if corpus.K < 2:
         raise CorpusError("K < 2: cannot hold out an unseen subclass")
-    if not (0 < seen_fraction < 1 and 0 < train_fraction < 1):
+    if not 0 < seen_fraction < 1:
         raise ValueError("fractions must lie in (0, 1)")
     rng = np.random.default_rng(seed)
     n_seen = int(np.floor(seen_fraction * corpus.K))
@@ -344,13 +374,13 @@ def split_protocol(corpus: LabeledCorpus, seed: int,
             test_unseen.extend(int(i) for i in idx)
             continue
         idx = idx[rng.permutation(len(idx))]
-        n_train = int(np.floor(train_fraction * len(idx)))
+        n_train = int(np.floor(TRAIN_FRACTION * len(idx)))
         train.extend(int(i) for i in idx[:n_train])
         test_seen.extend(int(i) for i in idx[n_train:])
 
     maj = np.array(corpus.majority_indices())
     maj = maj[rng.permutation(len(maj))]
-    n_train = int(np.floor(train_fraction * len(maj)))
+    n_train = int(np.floor(TRAIN_FRACTION * len(maj)))
     train.extend(int(i) for i in maj[:n_train])
     test_majority = [int(i) for i in maj[n_train:]]
 

@@ -29,8 +29,6 @@ class ConfusionTable:
     emerging: np.ndarray
     majority: np.ndarray
 
-    COLUMNS = ("seen", "unseen", "majority")
-
     def __post_init__(self):
         for row in self.rows().values():
             if np.any(np.asarray(row) < 0):
@@ -170,8 +168,7 @@ def aggregate(per_seed: list[dict], seeds: list[int], errors: list[str],
 
 def train_document(corpus: LabeledCorpus, rows, subclasses, hp_template: dict,
                    cfg: trainer.TrainConfig, representation: str = "raw", pca_rank: int = 0,
-                   top_n: int = 1000, reject_method: str = rejection.EVT_POT,
-                   q: float = 0.01) -> ModelDocument:
+                   reject_method: str = rejection.EVT_POT, q: float = 0.01) -> ModelDocument:
     """Fit the representation on corpus.docs[rows], train the GC and the SCs on
     those rows with the given corpus subclass ids renumbered 1..K in order, and
     calibrate the SC thresholds: the one path from corpus rows to a model."""
@@ -181,7 +178,7 @@ def train_document(corpus: LabeledCorpus, rows, subclasses, hp_template: dict,
         descriptor, vocab, proj = {"kind": "raw", "d": X.shape[1]}, None, None
     elif representation in ("tfidf", "pca"):
         counts = corpus.term_counts.rows(rows)
-        vocab = featurize.build_vocab(counts, top_n=top_n)
+        vocab = featurize.build_vocab(counts, top_n=1000)         # the 1k of --rep tfidf1k
         X = featurize.tfidf_transform(counts, vocab)
         descriptor, proj = {"kind": "tfidf"}, None
         if representation == "pca":
@@ -210,13 +207,13 @@ def train_document(corpus: LabeledCorpus, rows, subclasses, hp_template: dict,
 
 def run_single(corpus: LabeledCorpus, hp_template: dict, cfg: trainer.TrainConfig,
                seed: int, representation: str = "raw", pca_rank: int = 0,
-               top_n: int = 1000, reject_method: str = rejection.EVT_POT,
+               reject_method: str = rejection.EVT_POT,
                q: float = 0.01) -> tuple[dict, ModelDocument, SplitResult]:
     """One repetition: split -> train_document -> predict the test docs -> metrics."""
     split = split_protocol(corpus, seed=seed)
     seen_sorted = sorted(split.seen_subclasses)
     doc = train_document(corpus, split.train, seen_sorted, hp_template, cfg,
-                         representation=representation, pca_rank=pca_rank, top_n=top_n,
+                         representation=representation, pca_rank=pca_rank,
                          reject_method=reject_method, q=q)
     test_order = list(split.test_seen) + list(split.test_unseen) + list(split.test_majority)
     if representation == "raw":
@@ -236,8 +233,8 @@ def run_single(corpus: LabeledCorpus, hp_template: dict, cfg: trainer.TrainConfi
 def run_experiment(corpus: LabeledCorpus, hp_template: dict, cfg: trainer.TrainConfig,
                    repetitions: int = 5, base_seed: int = 0,
                    representation: str = "raw", pca_rank: int = 0,
-                   top_n: int = 1000, reject_method: str = rejection.EVT_POT,
-                   q: float = 0.01, config_echo: dict | None = None) -> MetricReport:
+                   reject_method: str = rejection.EVT_POT, q: float = 0.01,
+                   config_echo: dict | None = None) -> MetricReport:
     """The repeated-split protocol: seeds base_seed+0..+(repetitions-1), mean +- sample sd."""
     per_seed: list[dict] = []
     errors: list[str] = []
@@ -247,7 +244,7 @@ def run_experiment(corpus: LabeledCorpus, hp_template: dict, cfg: trainer.TrainC
         try:
             metrics, _, _ = run_single(
                 corpus, hp_template, cfg, seed, representation=representation,
-                pca_rank=pca_rank, top_n=top_n, reject_method=reject_method, q=q)
+                pca_rank=pca_rank, reject_method=reject_method, q=q)
             per_seed.append(metrics)
         except Exception as exc:  # a failed repetition marks the report incomplete
             errors.append(f"seed {seed}: {exc}")

@@ -235,17 +235,15 @@ def _grad(theta: np.ndarray, hp: Hyperparams, g2: np.ndarray, X: np.ndarray,
     return grad
 
 
-def _hinge_grad_w(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
-                  scale: float = 1.0) -> np.ndarray:
+def _hinge_grad_w(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
     # subgradient 0 at the kink: strict ">" in the margin-violation indicator
     active = (1.0 - y * (X @ w + b)) > 0.0
-    return scale * (X.T @ (-y * active))
+    return X.T @ (-y * active)
 
 
-def _hinge_grad_b(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
-                  scale: float = 1.0) -> float:
+def _hinge_grad_b(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float) -> float:
     active = (1.0 - y * (X @ w + b)) > 0.0
-    return scale * float(np.sum(-y * active))
+    return float(np.sum(-y * active))
 
 
 def grad_w0(params: ModelParams, data: BoundData, hp: Hyperparams,

@@ -5,15 +5,13 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .dataset import CorpusError, check_features, record_text
+from .dataset import CorpusError, atomic_write, check_features, record_text
 from .featurize import (PcaProjection, TermCounts, Vocabulary, count_terms, pca_transform,
                         tfidf_transform)
 from .objective import ModelParams
@@ -220,29 +218,6 @@ def _stack_rows(model: ModelDocument, source: Iterable[np.ndarray]) -> np.ndarra
             raise ModelDocumentError(f"item {i}: input dimension {x.shape} != ({model.d},)")
         rows.append(x)
     return np.stack(rows) if rows else np.empty((0, model.d))
-
-
-@contextlib.contextmanager
-def atomic_open(path):
-    """A text file that replaces `path` when the block ends and is deleted if the block raises."""
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    except OSError as exc:                  # named by the path asked for, not the temporary file
-        raise type(exc)(exc.errno, exc.strerror, path) from None
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_write(path, payload: str) -> None:
-    with atomic_open(path) as fh:
-        fh.write(payload)
 
 
 # The model file is one JSON object, laid out by DOCUMENT_JSON below and

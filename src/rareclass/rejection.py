@@ -99,20 +99,11 @@ def calibrate_scores(per_subclass_scores: list[np.ndarray], method: str = EVT_PO
         if len(scores) < MIN_SAMPLES[method]:
             raise RejectionError(
                 f"subclass {k + 1}: {len(scores)} samples < {MIN_SAMPLES[method]} required for {method}")
-        if method == PERCENTILE:
-            t[k] = float(np.quantile(scores, q))
-            tails.append(None)
-            fallback.append(False)
-            continue
-        pot = _pot_lower_threshold(scores, q)
-        if pot is None:
-            t[k] = float(np.quantile(scores, q))
-            tails.append(None)
-            fallback.append(True)
-        else:
-            t[k], tail = pot
-            tails.append(tail)
-            fallback.append(False)
+        pot = _pot_lower_threshold(scores, q) if method == EVT_POT else None
+        # the percentile rule: the method itself, or EVT's fallback when the tail fit degenerates
+        t[k], tail = pot or (float(np.quantile(scores, q)), None)
+        tails.append(tail)
+        fallback.append(method == EVT_POT and pot is None)
     return RejectionThresholds(t=t, method=method, q=q,
                                fitted_tail_params=tuple(tails), fallback=tuple(fallback))
 

@@ -609,6 +609,24 @@ class TestErrorsAndSeeds:
         assert "seed 4: K < 2: cannot hold out" in err and "seed 5: " in err
         assert "Traceback" not in err and not out.exists()
 
+    def test_evaluate_with_one_repetition_failed(self, tmp_path, capsys):
+        # seed 2 keeps subclass a seen; seed 3 keeps b, whose 4 training docs are
+        # too few for an EVT fit, so that repetition alone fails
+        rng = np.random.default_rng(0)
+        records = [{"label": "rare", "subclass": name, "features": (rng.standard_normal(3) + shift).tolist()}
+                   for name, count, shift in (("a", 30, [3, 0, 0]), ("b", 5, [3, 2, 0])) for _ in range(count)]
+        records += [{"label": "majority", "features": rng.standard_normal(3).tolist()} for _ in range(60)]
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "r.json"
+        rc = main(["evaluate", "--input", str(corpus), "--rep", "raw", "--reps", "2", "--seed", "2",
+                   "--iters", "40", "--step", "0.003", "--mu", "1e-4", "--out", str(out)])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out.endswith("\n(incomplete: one or more repetitions failed)\n")
+        report = json.loads(out.read_text())
+        assert report["incomplete"] and len(report["per_seed"]) == 1
+        assert report["errors"] == ["seed 3: subclass 1: 4 samples < 8 required for evt_pot"]
+
     def test_bad_rep_is_usage_error(self, synth_file, tmp_path):
         rc = main(["train", "--input", synth_file, "--rep", "wavelet",
                    "--out", str(tmp_path / "m.json")])

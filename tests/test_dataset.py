@@ -91,6 +91,15 @@ class TestLoadCorpus:
         assert back.K == corpus.K
         assert np.allclose(back.feature_matrix(), corpus.feature_matrix())
 
+    def test_save_refuses_a_non_finite_feature(self, tmp_path):
+        docs = (Doc("", RARE, 1, np.array([0.5, 2.0])), Doc("", MAJORITY, None, np.array([1.0, np.nan])))
+        f = tmp_path / "c.jsonl"
+        f.write_text("already here\n")
+        with pytest.raises(CorpusError, match=r"doc 1: 'features' has a non-finite entry"):
+            save_corpus(LabeledCorpus(docs=docs, K=1), f)
+        assert f.read_text() == "already here\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
+
 
 class TestLineReader:
     def test_skips_blank_lines_and_keeps_their_numbers(self, tmp_path):

@@ -192,6 +192,7 @@ class TestConfigValuesAreFlags:
         ("5", {"seed": 6}, ["--seed", "7"], 7),
         (None, {"seed": 6}, ["--seed=7"], 7),
         ("abc", None, ["--seed", "7"], 7),        # a flag replaces a bad RARE_SEED
+        ("abc", {"seed": 6}, [], 6),              # and so does the config file
     ])
     def test_precedence(self, tmp_path, monkeypatch, env, conf, flags, seed):
         seen = _recorded(monkeypatch)

@@ -223,6 +223,35 @@ class TestWorkerDies:
             assert [json.loads(l)["index"] for l in lines] == list(range(6))
 
 
+class TestInterrupted:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_ctrl_c_is_exit_130_with_one_line(self, tmp_path, int_model, cpus):
+        # in a child interpreter: SIGINT while line 7's chunk is featurized, by this process
+        # with one CPU, and by a worker, to the main process, with two
+        stream = tmp_path / "s.jsonl"
+        stream.write_text(_good(12))
+        code = ("import multiprocessing, os, signal\n"
+                "from rareclass import cli\n"
+                "main_pid = os.getpid()\n"
+                "features = cli._chunk_features\n"
+                "def interrupted_on_line_7(model, chunk):\n"
+                "    if 7 in dict(chunk):\n"
+                "        os.kill(main_pid, signal.SIGINT)\n"
+                "    return features(model, chunk)\n"
+                "cli._chunk_features = interrupted_on_line_7\n"
+                "cli.PREDICT_CHUNK = 2\n"
+                f"os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
+                f"rc = cli.main(['predict', '--model', {int_model!r}, '--input', {str(stream)!r}, "
+                f"'--out', {str(tmp_path / 'd.jsonl')!r}])\n"
+                "print('exit', rc, len(multiprocessing.active_children()))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.stdout.splitlines() == [f"exit {cli.EXIT_INTERRUPT} 0"], proc.stderr
+        assert proc.stderr.splitlines() == ["error: interrupted"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["int_model.json", "s.jsonl"]
+
+
 def _processes_naming(marker: str) -> list[int]:
     """The live processes whose command line holds `marker` (a zombie's is empty)."""
     pids = []

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rareclass import rejection
 from rareclass.objective import Hyperparams, bind_data
 from rareclass.recognizer import THRESHOLDS_JSON, model_json
 from rareclass.rejection import (
@@ -54,6 +55,21 @@ class TestEvtPot:
         fresh = 5.0 - rng.exponential(scale=1.0, size=100000)
         reject_rate = float(np.mean(fresh < th.t[0]))
         assert 0.005 < reject_rate < 0.02
+
+    def test_threshold_continuous_across_the_exponential_tail_switch(self, monkeypatch):
+        # |xi| below _XI_ZERO takes the exponential tail, the GPD's limit as xi -> 0
+        scores = np.random.default_rng(3).standard_normal(400)
+        sigma = 0.7
+        thresholds = {}
+        for xi in (-1e-5, -1e-7, 1e-7, 1e-5):
+            monkeypatch.setattr(rejection, "_gpd_moments", lambda excesses, xi=xi: (xi, sigma))
+            th = calibrate_scores([scores], method=EVT_POT, q=0.01)
+            assert th.fitted_tail_params[0] == TailFit(shape=xi, scale=sigma,
+                                                       anchor=th.fitted_tail_params[0].anchor)
+            thresholds[xi] = th.t[0]
+        assert thresholds[-1e-7] == thresholds[1e-7]
+        for xi in (-1e-5, 1e-5):
+            assert abs(thresholds[xi] - thresholds[1e-7]) < 1e-4 * sigma
 
     def test_accept_rate_on_heldout(self):
         rng = np.random.default_rng(2)
