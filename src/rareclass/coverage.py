@@ -4,6 +4,7 @@ branch-and-bound, a greedy heuristic, and coverage reports."""
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import time
@@ -44,9 +45,20 @@ class CoverProgram:
     def K(self) -> int:
         return len(self.R_blocks)
 
-    @property
+    @functools.cached_property
     def R_all(self) -> np.ndarray:
-        return np.vstack(self.R_blocks)
+        R_all = np.vstack(self.R_blocks)
+        R_all.flags.writeable = False               # stacked once and shared
+        return R_all
+
+    def target(self, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """(the docs word set s should cover, the docs it should not): for v0
+        (s=0) the rare docs and the majority, for v_s its block and every other block."""
+        if s == 0:
+            return self.R_all, self.N
+        lo = sum(len(b) for b in self.R_blocks[:s - 1])
+        block = self.R_blocks[s - 1]
+        return block, np.delete(self.R_all, slice(lo, lo + len(block)), axis=0)
 
 
 @dataclass
@@ -81,36 +93,21 @@ def build_program(corpus: LabeledCorpus, vocab: Vocabulary) -> CoverProgram:
 
 
 def _evaluate_assignment(p: CoverProgram, assign: np.ndarray) -> CoverSolution:
-    """Score a complete word assignment (0=unused, 1=v0, 2..K+1=v_k) with tight o/alpha/beta."""
-    K = p.K
-    v0 = assign == 1
-    vks = [assign == (k + 2) for k in range(K)]
-
-    words = int(np.count_nonzero(assign))
-    alpha = int(p.N[:, v0].sum()) if v0.any() else 0
-    beta = 0
-    zk = []
-    o = 0
-    for k in range(K):
-        covered = p.R_blocks[k][:, vks[k]].sum(axis=1) > 0 if vks[k].any() \
-            else np.zeros(len(p.R_blocks[k]), dtype=bool)
-        ex = np.flatnonzero(~covered)
-        zk.append(frozenset(int(i) for i in ex))
-        o += len(ex)
-        for kp in range(K):
-            if kp != k and vks[kp].any():
-                beta += int(p.R_blocks[k][:, vks[kp]].sum())
-    R_all = p.R_all
-    covered0 = R_all[:, v0].sum(axis=1) > 0 if v0.any() else np.zeros(len(R_all), dtype=bool)
-    z0 = frozenset(int(i) for i in np.flatnonzero(~covered0))
-    o += len(z0)
-
-    obj = words + o + alpha + beta
+    """Score a complete word assignment (0=unused, 1=v0, 2..K+1=v_k) with tight o/alpha/beta:
+    a set's uncovered target docs are exonerated; v0's cross sum is alpha, the v_k's add to beta."""
+    sets, exonerated, cross = [], [], []
+    for s in range(p.K + 1):
+        cols = assign == s + 1
+        target, other = p.target(s)
+        sets.append(frozenset(int(j) for j in np.flatnonzero(cols)))
+        exonerated.append(frozenset(int(i) for i in np.flatnonzero(target[:, cols].sum(axis=1) == 0)))
+        cross.append(int(other[:, cols].sum()))
+    o = sum(len(z) for z in exonerated)
+    alpha, beta = cross[0], sum(cross[1:])
     return CoverSolution(
-        v0=frozenset(int(j) for j in np.flatnonzero(v0)),
-        vk=tuple(frozenset(int(j) for j in np.flatnonzero(m)) for m in vks),
-        z0=z0, zk=tuple(zk), o=o, alpha=alpha, beta=beta,
-        objective=obj, optimal=False)
+        v0=sets[0], vk=tuple(sets[1:]), z0=exonerated[0], zk=tuple(exonerated[1:]),
+        o=o, alpha=alpha, beta=beta,
+        objective=int(np.count_nonzero(assign)) + o + alpha + beta, optimal=False)
 
 
 class _TimedOut(Exception):
@@ -143,15 +140,11 @@ def solve_exact(p: CoverProgram, time_cap: float | None = None) -> CoverSolution
     start = time.monotonic()
     R_all = p.R_all
     n_r = len(R_all)
-    offsets = np.cumsum([0] + [len(b) for b in p.R_blocks]).tolist()
+    shifts = [n_r, *np.cumsum([0] + [len(b) for b in p.R_blocks[:-1]]).tolist()]
+    targets = [p.target(s) for s in range(K + 1)]
     # per word: (code, covered bits, words + alpha + beta added) for v0, v1..vK
-    choices = []
-    for j in range(d):
-        counts = [int(b[:, j].sum()) for b in p.R_blocks]
-        options = [(1, _bits(R_all[:, j]) << n_r, 1 + int(p.N[:, j].sum()))]
-        options += [(k + 2, _bits(p.R_blocks[k][:, j]) << offsets[k], 1 + sum(counts) - counts[k])
-                    for k in range(K)]
-        choices.append(options)
+    choices = [[(s + 1, _bits(target[:, j]) << shifts[s], 1 + int(other[:, j].sum()))
+                for s, (target, other) in enumerate(targets)] for j in range(d)]
     # unreach[j]: docs no word at position >= j can cover, which must be exonerated
     unreach = [(1 << 2 * n_r) - 1] * (d + 1)
     for j in range(d - 1, -1, -1):
@@ -221,7 +214,6 @@ def solve_greedy(p: CoverProgram) -> CoverSolution:
     first, then v0 over the remaining words. Uncovered docs are exonerated."""
     d, K = p.d, p.K
     taken = np.zeros(d, dtype=np.int8)    # 0 unused, 1 v0, 2.. v_k
-    R_all = p.R_all
 
     def grow(target: np.ndarray, cross_cost: np.ndarray, code: int) -> None:
         covered = np.zeros(len(target), dtype=bool)
@@ -236,15 +228,10 @@ def solve_greedy(p: CoverProgram) -> CoverSolution:
             taken[j] = code
             covered |= target[:, j] > 0
 
-    for k in range(K):
-        others = np.vstack([p.R_blocks[kp] for kp in range(K) if kp != k]) \
-            if K > 1 else np.zeros((0, d))
-        grow(p.R_blocks[k], others.sum(axis=0), k + 2)
-    grow(R_all, p.N.sum(axis=0), 1)
-
-    sol = _evaluate_assignment(p, taken)
-    sol.optimal = False
-    return sol
+    for s in [*range(1, K + 1), 0]:
+        target, other = p.target(s)
+        grow(target, other.sum(axis=0), s + 1)
+    return _evaluate_assignment(p, taken)
 
 
 def check_feasible(sol: CoverSolution, p: CoverProgram) -> None:
@@ -301,34 +288,32 @@ def coverage_report(sol: CoverSolution, p: CoverProgram) -> dict:
         entries.sort(key=lambda e: (-e["ratio"], e["term"]))
         return entries
 
-    R_all = p.R_all
+    def covered(target: np.ndarray, cols: list[int]) -> int:
+        return int(np.count_nonzero(target[:, cols].sum(axis=1) > 0))
+
     subclasses = []
     for k in range(p.K):
-        block = p.R_blocks[k]
-        others = np.vstack([p.R_blocks[kp] for kp in range(p.K) if kp != k]) \
-            if p.K > 1 else np.zeros((0, p.d))
+        block, others = p.target(k + 1)
         cols = sorted(sol.vk[k])
-        covered = int(np.count_nonzero(block[:, cols].sum(axis=1) > 0)) if cols else 0
-        cross = int(others[:, cols].sum()) if cols and len(others) else 0
+        cross = int(others[:, cols].sum())
         subclasses.append({
             "subclass": k + 1,
             "n_docs": len(block),
-            "within_coverage_pct": 100.0 * covered / max(len(block), 1),
+            "within_coverage_pct": 100.0 * covered(block, cols) / max(len(block), 1),
             "cross_matches": cross,
             "cross_coverage_pct": 100.0 * cross / max(len(others) * max(len(cols), 1), 1),
             "words": word_entries(sol.vk[k], block, others),
         })
-    cols0 = sorted(sol.v0)
-    covered0 = int(np.count_nonzero(R_all[:, cols0].sum(axis=1) > 0)) if cols0 else 0
+    R_all, N = p.target(0)
     return {
         "objective": sol.objective,
         "optimal": sol.optimal,
         "o": sol.o, "alpha": sol.alpha, "beta": sol.beta,
         "general": {
             "n_docs": len(R_all),
-            "within_coverage_pct": 100.0 * covered0 / max(len(R_all), 1),
+            "within_coverage_pct": 100.0 * covered(R_all, sorted(sol.v0)) / max(len(R_all), 1),
             "not_rare_matches": sol.alpha,
-            "words": word_entries(sol.v0, R_all, p.N),
+            "words": word_entries(sol.v0, R_all, N),
         },
         "subclasses": subclasses,
     }

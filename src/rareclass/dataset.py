@@ -403,8 +403,24 @@ def gen_synthetic(cfg: SyntheticConfig) -> LabeledCorpus:
     each subclass additionally has its own direction in the remaining axes.
     Center norms equal cfg.subclass_separation. collinearity_groups duplicate a
     group's first column into the others (plus small noise) to force
-    multi-collinearity.
+    multi-collinearity. A noise scale or separation whose features overflow is a CorpusError.
     """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            X, labels, subs = _synthetic_rows(cfg)
+    except FloatingPointError:
+        raise CorpusError(f"the features overflow: noise_scale={cfg.noise_scale:g}, "
+                          f"subclass_separation={cfg.subclass_separation:g}") from None
+    X.flags.writeable = False
+    docs = tuple(Doc(text="", label=lab, subclass=sub, features=row)
+                 for lab, sub, row in zip(labels, subs, X))
+    names = tuple(f"synthetic-{k}" for k in range(1, cfg.K_total + 1))
+    return LabeledCorpus(docs=docs, K=cfg.K_total, id=f"synthetic-seed{cfg.seed}", subclass_names=names,
+                         features=X)
+
+
+def _synthetic_rows(cfg: SyntheticConfig) -> tuple[np.ndarray, list[str], list[int | None]]:
+    """gen_synthetic's feature matrix, labels and subclass ids."""
     rng = np.random.default_rng(cfg.seed)
     d, K = cfg.d, cfg.K_total
     s = cfg.subclass_separation
@@ -439,10 +455,4 @@ def gen_synthetic(cfg: SyntheticConfig) -> LabeledCorpus:
             base = group[0]
             for col in group[1:]:
                 X[:, col] = X[:, base] + 0.01 * cfg.noise_scale * rng.standard_normal(len(X))
-
-    X.flags.writeable = False
-    docs = tuple(Doc(text="", label=lab, subclass=sub, features=row)
-                 for lab, sub, row in zip(labels, subs, X))
-    names = tuple(f"synthetic-{k}" for k in range(1, K + 1))
-    return LabeledCorpus(docs=docs, K=K, id=f"synthetic-seed{cfg.seed}", subclass_names=names,
-                         features=X)
+    return X, labels, subs

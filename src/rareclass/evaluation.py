@@ -80,17 +80,14 @@ def top_level_metrics(decisions: list[Decision], split: SplitResult) -> dict[str
     A doc counts as predicted-rare when its verdict is not Majority. Undefined
     precision (nothing predicted rare) is reported as None, as is F1.
     """
+    table = confusion_table(decisions, split, {})
     n_seen = len(split.test_seen)
     n_unseen = len(split.test_unseen)
     n_rare = n_seen + n_unseen
-    n_total = n_rare + len(split.test_majority)
-    if len(decisions) != n_total:
-        raise EvalError(f"{len(decisions)} decisions for {n_total} test docs")
-    pred_rare = [d.verdict != MAJORITY for d in decisions]
-    n_pred = sum(pred_rare)
-    tp_seen = sum(pred_rare[:n_seen])
-    tp_unseen = sum(pred_rare[n_seen:n_rare])
+    # predicted rare per true column: (seen, unseen, majority)
+    tp_seen, tp_unseen, fp = (int(c) for c in table.column_totals() - table.majority)
     tp = tp_seen + tp_unseen
+    n_pred = tp + fp
 
     precision = tp / n_pred if n_pred else None
     recall = tp / n_rare if n_rare else 0.0

@@ -91,6 +91,9 @@ class ModelDocument:
         kind = self.representation.get("kind") if isinstance(self.representation, dict) else None
         if kind not in ("raw", "tfidf", "pca"):
             raise ModelDocumentError(f"unknown representation {self.representation!r}")
+        if self.representation.get("d", self.d) != self.d:
+            raise ModelDocumentError(
+                f"'representation.d' {self.representation['d']} inconsistent with d={self.d}")
         if kind == "tfidf" and self.vocab is not None and self.vocab.d != self.d:
             raise ModelDocumentError(f"vocabulary size {self.vocab.d} inconsistent with d={self.d}")
         proj = self.projection
@@ -105,6 +108,9 @@ class ModelDocument:
             if self.vocab is not None and len(proj.mean) != self.vocab.d:
                 raise ModelDocumentError(
                     f"projection mean length {len(proj.mean)} inconsistent with vocabulary size {self.vocab.d}")
+            if self.representation.get("rank", proj.rank) != proj.rank:
+                raise ModelDocumentError(f"'representation.rank' {self.representation['rank']} "
+                                         f"inconsistent with projection rank {proj.rank}")
 
     def check_record(self, rec) -> None:
         """Raise ModelDocumentError unless rec is a stream record this model can featurize:

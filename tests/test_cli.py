@@ -552,6 +552,15 @@ class TestSynthAndBench:
         lines = Path(out).read_text().splitlines()
         assert len(lines) == 2 * 5 + 8
 
+    def test_synth_overflow_is_data_error_naming_the_scales(self, tmp_path, capsys):
+        # numpy's overflow warning is an error under this suite's warning filter,
+        # so a warning printed on the way to the message fails here
+        out = tmp_path / "corpus.jsonl"
+        assert main(["synth", "--out", str(out), "--noise", "1e308"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "error: the features overflow: noise_scale=1e+308, subclass_separation=6\n"
+        assert not out.exists()
+
     def test_bench_timings_structure(self):
         timings = bench_timings(n=80, d=10, K=2, iters=5, mu=1.0, seed=0)
         assert len(timings) == 3

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_program_by_hand, solve_exact_by_hand
 from rareclass.coverage import (
-    CoverProgram, CoverageError, build_program, check_feasible, coverage_report,
-    enumerate_exact, report_text, report_words_csv, solve_exact, solve_greedy,
+    CoverProgram, CoverageError, _evaluate_assignment, build_program, check_feasible,
+    coverage_report, enumerate_exact, report_text, report_words_csv, solve_exact, solve_greedy,
 )
 from rareclass.dataset import Doc, LabeledCorpus, MAJORITY, RARE
 from rareclass.featurize import FeaturizeError, Vocabulary, build_vocab
@@ -277,6 +277,78 @@ class TestBitmaskSearch:
         rng = np.random.default_rng(4)
         p = random_program(rng, d=9, K=2, docs_per_block=6, majority_docs=16)
         assert solve_exact(p) == solve_exact_by_hand(p)
+
+
+def recount(p, sets):
+    """(target rows, cross rows) of each word set and its o, alpha and beta, by
+    hand: a row of the target no word of its set covers is exonerated."""
+    blocks = [[list(row) for row in b] for b in p.R_blocks]
+    rare = [row for b in blocks for row in b]
+    sides = [(rare, [list(row) for row in p.N])]
+    sides += [(b, [row for kp, other in enumerate(blocks) if kp != k for row in other])
+              for k, b in enumerate(blocks)]
+    o = sum(1 for (target, _), words in zip(sides, sets) for row in target
+            if not any(row[j] for j in words))
+    cross = [sum(row[j] for row in other for j in words) for (_, other), words in zip(sides, sets)]
+    return sides, o, cross[0], sum(cross[1:])
+
+
+class TestOneTargetPerSet:
+    """Each set's target and cross documents, through _evaluate_assignment and
+    coverage_report, against a by-hand recount: K = 1..3 (K = 1 has no other
+    blocks) and assignments that leave sets empty."""
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_target_rows(self, K):
+        p = random_program(np.random.default_rng(K), d=4, K=K, docs_per_block=3, majority_docs=2)
+        sides, _, _, _ = recount(p, [()] * (K + 1))
+        for s, (target, other) in enumerate(sides):
+            got_target, got_other = p.target(s)
+            assert got_target.tolist() == target and got_other.tolist() == other
+            assert got_other.shape == (len(other), p.d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), p=programs())
+    def test_assignment_and_report_match_recount(self, data, p):
+        assign = data.draw(st.lists(st.integers(0, p.K + 1), min_size=p.d, max_size=p.d))
+        for codes in (assign, [0] * p.d):
+            sol = _evaluate_assignment(p, np.array(codes, dtype=np.int8))
+            sets = [[j for j in range(p.d) if codes[j] == s + 1] for s in range(p.K + 1)]
+            assert [sorted(w) for w in sol.word_sets()] == sets
+            sides, o, alpha, beta = recount(p, sets)
+            assert (sol.o, sol.alpha, sol.beta) == (o, alpha, beta)
+            assert sol.objective == sum(map(len, sets)) + o + alpha + beta
+            check_feasible(sol, p)
+
+            report = coverage_report(sol, p)
+            sections = [report["general"], *report["subclasses"]]
+            for (target, other), words, section in zip(sides, sets, sections):
+                covered = sum(1 for row in target if any(row[j] for j in words))
+                assert section["n_docs"] == len(target)
+                assert section["within_coverage_pct"] == 100.0 * covered / max(len(target), 1)
+                assert sorted(e["term"] for e in section["words"]) == sorted(p.terms[j] for j in words)
+                for e in section["words"]:
+                    j = p.terms.index(e["term"])
+                    assert e["within_coverage"] == sum(row[j] for row in target) / max(len(target), 1)
+                    assert e["cross_coverage"] == sum(row[j] for row in other) / max(len(other), 1)
+            for (_, other), words, section in zip(sides[1:], sets[1:], sections[1:]):
+                cross = sum(row[j] for row in other for j in words)
+                assert section["cross_matches"] == cross
+                assert section["cross_coverage_pct"] == \
+                    100.0 * cross / max(len(other) * max(len(words), 1), 1)
+            assert report["general"]["not_rare_matches"] == alpha
+
+    @settings(max_examples=30, deadline=None)
+    @given(p=programs())
+    def test_exact_optimum_rescored(self, p):
+        sol = solve_exact(p)
+        assign = np.zeros(p.d, dtype=np.int8)
+        for s, words in enumerate(sol.word_sets()):
+            assign[sorted(words)] = s + 1
+        again = _evaluate_assignment(p, assign)
+        check_feasible(again, p)
+        assert again.objective == enumerate_exact(p) == sol.objective
+        assert (again.o, again.alpha, again.beta) == recount(p, sol.word_sets())[1:]
 
 
 TOPICS = ["flood", "fire", "quake", "storm", "market", "river", "smoke", "calm", "news", "ÉtÉ"]

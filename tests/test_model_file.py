@@ -82,6 +82,10 @@ CORRUPTIONS = [
     ("raw", _set(["params", "w0", 1], math.inf), "'params.w0'"),
     ("pca", _set(["projection", "explained_variance", 0], math.nan), "'projection.explained_variance'"),
     ("tfidf", _set(["vocab", "note"], "x"), "'vocab.note'"),
+    # a representation key that disagrees with the rest of the document
+    ("pca", _set(["representation", "rank"], 9), "'representation.rank'"),
+    ("raw", _set(["representation", "d"], 77), "'representation.d'"),
+    ("pca", _set(["representation", "d"], 77), "'representation.d'"),
 ]
 
 
