@@ -35,14 +35,10 @@ class UsageError(ValueError):
     pass
 
 
-_STRICT_JSON = json.JSONEncoder(allow_nan=False)
-
-
 def _dumps(obj, **kwargs) -> str:
     """Strict JSON: a non-finite number is a numeric failure, never a bare NaN or Infinity."""
-    encoder = json.JSONEncoder(allow_nan=False, **kwargs) if kwargs else _STRICT_JSON
     try:
-        return encoder.encode(obj)
+        return json.JSONEncoder(allow_nan=False, **kwargs).encode(obj)
     except ValueError as exc:
         raise FloatingPointError(f"cannot write non-finite value as JSON: {exc}") from exc
 

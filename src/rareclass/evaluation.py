@@ -213,11 +213,8 @@ def run_single(corpus: LabeledCorpus, hp_template: dict, cfg: trainer.TrainConfi
                          representation=representation, pca_rank=pca_rank,
                          reject_method=reject_method, q=q)
     test_order = list(split.test_seen) + list(split.test_unseen) + list(split.test_majority)
-    if representation == "raw":
-        Xte = corpus.feature_matrix(test_order)
-    else:
-        Xte = doc.text_features(corpus.term_counts.rows(test_order))
-
+    Xte = (corpus.feature_matrix(test_order) if doc.vocab is None
+           else doc.text_features(corpus.term_counts.rows(test_order)))
     decisions, _ = recognizer.predict_stream(doc, Xte)
     metrics = top_level_metrics(decisions, split)
     remap = {k: j + 1 for j, k in enumerate(seen_sorted)}

@@ -44,7 +44,7 @@ class ModelParams:
     def _set(self, theta: np.ndarray) -> None:
         if not np.all(np.isfinite(theta)):
             raise ObjectiveError("non-finite parameter entries")
-        # views made once: per-item prediction reads them for every input
+        # views into theta, made once rather than sliced on every read
         self.theta = theta
         self.w0, self.W, self.b = theta[0, :-1], theta[1:, :-1], theta[1:, -1]
 

@@ -91,6 +91,8 @@ class ModelDocument:
         kind = self.representation.get("kind") if isinstance(self.representation, dict) else None
         if kind not in ("raw", "tfidf", "pca"):
             raise ModelDocumentError(f"unknown representation {self.representation!r}")
+        if kind != "pca" and "rank" in self.representation:
+            raise ModelDocumentError(f"'representation.rank' is not a key of a {kind} model")
         if self.representation.get("d", self.d) != self.d:
             raise ModelDocumentError(
                 f"'representation.d' {self.representation['d']} inconsistent with d={self.d}")
@@ -134,17 +136,21 @@ class ModelDocument:
         """Map stream records to an (n, d) array, choosing per record: its own
         `features` when it has them, else its `text` through the model's
         representation. Records are expected to pass check_record."""
-        n = len(records)
-        text_rows = [i for i, r in enumerate(records) if "features" not in r]
-        if not text_rows:
-            return self._features([r["features"] for r in records]) if n else np.empty((0, self.d))
-        if self.representation["kind"] == "raw":
+        rows = [r["features"] for r in records if "features" in r]
+        if len(rows) < len(records) and self.representation["kind"] == "raw":
             raise ModelDocumentError("raw-representation model requires 'features' records")
-        X = np.empty((n, self.d))
-        if len(text_rows) < n:
-            feature_rows = [i for i, r in enumerate(records) if "features" in r]
-            X[feature_rows] = self._features([records[i]["features"] for i in feature_rows])
-        X[text_rows] = self.text_features(count_terms([record_text(records[i]) for i in text_rows]))
+        try:
+            F = np.array(rows, dtype=np.float64).reshape(len(rows), -1) if rows else np.empty((0, self.d))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ModelDocumentError(f"malformed 'features' record: {exc}") from exc
+        if F.shape[1] != self.d:
+            raise ModelDocumentError(f"feature dimension {F.shape[1]} != model d {self.d}")
+        if len(rows) == len(records):
+            return F
+        is_text = np.array(["features" not in r for r in records])
+        X = np.empty((len(records), self.d))
+        X[~is_text] = F
+        X[is_text] = self.text_features(count_terms([record_text(r) for r in records if "features" not in r]))
         return X
 
     def text_features(self, counts: TermCounts) -> np.ndarray:
@@ -152,15 +158,6 @@ class ModelDocument:
         a pca model) of counted documents."""
         T = tfidf_transform(counts, self.vocab)
         return pca_transform(T, self.projection) if self.representation["kind"] == "pca" else T
-
-    def _features(self, rows: list) -> np.ndarray:
-        try:
-            X = np.array(rows, dtype=np.float64).reshape(len(rows), -1)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ModelDocumentError(f"malformed 'features' record: {exc}") from exc
-        if X.shape[1] != self.d:
-            raise ModelDocumentError(f"feature dimension {X.shape[1]} != model d {self.d}")
-        return X
 
 
 def predict_batch(model: ModelDocument, X: np.ndarray,
@@ -200,10 +197,7 @@ def predict_batch(model: ModelDocument, X: np.ndarray,
 def predict(model: ModelDocument, x: np.ndarray,
             stats: StreamStats | None = None) -> Decision:
     """Route one input; see predict_batch."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.d,):
-        raise ModelDocumentError(f"input dimension {x.shape} != ({model.d},)")
-    return predict_batch(model, x[None, :], stats)[0]
+    return predict_batch(model, np.asarray(x, dtype=np.float64)[None], stats)[0]
 
 
 def predict_stream(model: ModelDocument,
@@ -211,19 +205,15 @@ def predict_stream(model: ModelDocument,
     """One Decision per input, in order, plus counters over the whole stream.
     A 2-D array is routed as it is; any other source is read row by row."""
     if not (isinstance(source, np.ndarray) and source.ndim == 2):
-        source = _stack_rows(model, source)
+        rows = []
+        for i, x in enumerate(source):
+            x = np.asarray(x, dtype=np.float64)
+            if x.shape != (model.d,):
+                raise ModelDocumentError(f"item {i}: input dimension {x.shape} != ({model.d},)")
+            rows.append(x)
+        source = np.stack(rows) if rows else np.empty((0, model.d))
     stats = StreamStats()
     return predict_batch(model, source, stats), stats
-
-
-def _stack_rows(model: ModelDocument, source: Iterable[np.ndarray]) -> np.ndarray:
-    rows = []
-    for i, x in enumerate(source):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (model.d,):
-            raise ModelDocumentError(f"item {i}: input dimension {x.shape} != ({model.d},)")
-        rows.append(x)
-    return np.stack(rows) if rows else np.empty((0, model.d))
 
 
 # The model file is one JSON object, laid out by DOCUMENT_JSON below and

@@ -86,6 +86,9 @@ CORRUPTIONS = [
     ("pca", _set(["representation", "rank"], 9), "'representation.rank'"),
     ("raw", _set(["representation", "d"], 77), "'representation.d'"),
     ("pca", _set(["representation", "d"], 77), "'representation.d'"),
+    # a pca key in another kind's representation
+    ("raw", _set(["representation", "rank"], 4), "'representation.rank'"),
+    ("tfidf", _set(["representation", "rank"], 9), "'representation.rank'"),
 ]
 
 

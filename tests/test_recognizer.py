@@ -315,6 +315,74 @@ class TestModelDocument:
             text_model.check_record({"text": ["hello"]})
 
 
+# each way a caller's input can miss the d = 2 of gate_model, and the exact message
+INPUT_RULES = {
+    "predict 0-d": (lambda m: predict(m, np.float64(1.0)), "input dimension () != (2,)"),
+    "predict length 3": (lambda m: predict(m, np.ones(3)), "input dimension (3,) != (2,)"),
+    "predict (1, 2)": (lambda m: predict(m, np.ones((1, 2))), "input dimension (1, 2) != (2,)"),
+    "predict (2, 2)": (lambda m: predict(m, np.ones((2, 2))), "input dimension (2, 2) != (2,)"),
+    "predict list": (lambda m: predict(m, [1.0]), "input dimension (1,) != (2,)"),
+    "stream (4, 3)": (lambda m: predict_stream(m, np.ones((4, 3))), "input dimension (3,) != (2,)"),
+    "stream 1-D": (lambda m: predict_stream(m, np.ones(2)), "item 0: input dimension () != (2,)"),
+    "stream item 1": (lambda m: predict_stream(m, [np.ones(2), np.ones(3)]),
+                      "item 1: input dimension (3,) != (2,)"),
+    "featurize width 3": (lambda m: m.featurize([{"features": [1, 2, 3]}]),
+                          "feature dimension 3 != model d 2"),
+    "featurize text": (lambda m: m.featurize([{"text": "hello"}]),
+                       "raw-representation model requires 'features' records"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_RULES)
+def test_input_rule_messages(gate_model, case):
+    call, message = INPUT_RULES[case]
+    with pytest.raises(ModelDocumentError) as info:
+        call(gate_model)
+    assert str(info.value) == message
+    assert predict_stream(gate_model, [])[0] == []
+    assert gate_model.featurize([]).shape == (0, 2)
+
+
+WORDS = ["flood", "water", "fire", "smoke", "calm", "day", "unseen"]
+VOCAB = build_vocab(["flood water flood", "fire smoke", "calm day"])
+
+
+def featurize_model(kind):
+    d = 2 if kind == "raw" else VOCAB.d
+    model = make_model(w0=np.zeros(d), b0=0.0, W=np.zeros((1, d)), b=[0.0], thresholds=[0.0],
+                       representation={"kind": kind})
+    model.vocab = None if kind == "raw" else VOCAB
+    return model
+
+
+def stream_records(d):
+    """Records that pass check_record: d numbers under `features` (a `text`
+    beside them is ignored), or else a `text` that is absent, null or a string."""
+    text = st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join)
+    number = st.floats(width=64) | st.integers(-10 ** 6, 10 ** 6)
+    features = st.fixed_dictionaries({"features": st.lists(number, min_size=d, max_size=d)},
+                                      optional={"text": text})
+    return st.lists(features | st.fixed_dictionaries({}, optional={"text": st.none() | text}),
+                    max_size=8)
+
+
+# pca is left out: its text rows depend on the other text records of their chunk
+@pytest.mark.parametrize("kind", ["raw", "tfidf"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_featurize_row_is_its_record_alone(kind, data):
+    model = featurize_model(kind)
+    records = data.draw(stream_records(model.d))
+    if kind == "raw" and any("features" not in r for r in records):
+        with pytest.raises(ModelDocumentError, match="requires 'features'"):
+            model.featurize(records)
+        records = [r for r in records if "features" in r]
+    X = model.featurize(records)
+    assert X.shape == (len(records), model.d) and X.dtype == np.float64
+    for row, rec in zip(X, records):
+        assert row.tobytes() == model.featurize([rec])[0].tobytes()
+
+
 class TestPersistence:
     def test_roundtrip_bit_exact(self, tmp_path, gate_model):
         rng = np.random.default_rng(1)
