@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_TOKEN_RE = re.compile(r"[^a-zÀ-ɏ]+")
+_TOKEN_RE = re.compile(r"[a-zÀ-ɏ]{2,}")
 
 
 class FeaturizeError(ValueError):
@@ -17,8 +17,8 @@ class FeaturizeError(ValueError):
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, split on non-alphabetic characters, keep tokens of length >= 2."""
-    return [t for t in _TOKEN_RE.split(text.lower()) if len(t) >= 2]
+    """Lowercase, then keep each maximal run of letters of length >= 2."""
+    return _TOKEN_RE.findall(text.lower())
 
 
 @dataclass(frozen=True)
@@ -142,18 +142,21 @@ def pca_fit(X: np.ndarray, rank: int) -> PcaProjection:
     """Top-rank eigendirections of the centered covariance (d x d eigendecomposition)."""
     A = np.asarray(X, dtype=np.float64)
     n, d = A.shape
+    if rank < 1:
+        raise FeaturizeError(f"rank {rank} is below 1")
     if rank > min(n, d):
         raise FeaturizeError(f"rank {rank} exceeds min(n, d) = {min(n, d)}")
     mean = A.mean(axis=0)
-    C = (A - mean).T @ (A - mean) / max(n - 1, 1)
+    B = A - mean
+    C = B.T @ B / max(n - 1, 1)       # one buffer on both sides: BLAS's symmetric rank-k product
+    del B                             # free the centred copy before eigh allocates its workspace
     evals, evecs = np.linalg.eigh(C)
     order = np.argsort(evals)[::-1]
-    evals, evecs = evals[order], evecs[:, order]
+    evals = evals[order]
     data_rank = int(np.sum(evals > 1e-12 * max(evals.max(initial=0.0), 1.0)))
     truncated = rank > data_rank
-    r = min(rank, data_rank) if truncated else rank
-    r = max(r, 1)
-    return PcaProjection(mean=mean, components=evecs[:, :r].T.copy(),
+    r = max(min(rank, data_rank), 1)
+    return PcaProjection(mean=mean, components=evecs[:, order[:r]].T.copy(),
                          explained_variance=np.maximum(evals[:r], 0.0),
                          truncated=truncated)
 

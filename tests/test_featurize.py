@@ -1,9 +1,11 @@
 import hashlib
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import build_vocab_by_hand, tfidf_by_hand
 from rareclass.featurize import (
@@ -19,6 +21,15 @@ class TestTokenize:
 
     def test_empty(self):
         assert tokenize("123 ! a") == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(alphabet=st.one_of(
+        st.sampled_from("aZzÀÁÿĀɏɐ\u00bf\u00d7\u00f7İẞΣ9 -_.\u0307"), st.characters())))
+    @example(text="KİLO İİ")      # "İ".lower() is "i" plus a combining dot, which ends a run
+    def test_matches_split_and_filter(self, text):
+        # the rule tokenize replaced: split on runs of non-letters, drop short pieces
+        expected = [t for t in re.split(r"[^a-zÀ-ɏ]+", text.lower()) if len(t) >= 2]
+        assert tokenize(text) == expected
 
 
 class TestBuildVocab:
@@ -132,6 +143,68 @@ class TestPca:
     def test_rank_exceeds_min_nd(self):
         with pytest.raises(FeaturizeError):
             pca_fit(np.zeros((3, 2)), rank=4)
+
+    @pytest.mark.parametrize("rank", [0, -3])
+    def test_rank_below_one(self, rank):
+        X = np.random.default_rng(9).standard_normal((10, 4))
+        with pytest.raises(FeaturizeError, match=f"rank {rank} is below 1"):
+            pca_fit(X, rank=rank)
+
+    def test_peak_memory_below_one_and_a_half_inputs(self):
+        # the centred copy is made once and freed before eigh: the traced peak
+        # is that copy plus the d x d covariance, not two n x d temporaries
+        X = np.random.default_rng(10).standard_normal((2000, 300))
+        tracemalloc.start()
+        try:
+            pca_fit(X, rank=30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * X.nbytes
+
+    @staticmethod
+    def _fit_centring_twice(X, rank):
+        """pca_fit as it was written before it centred once: the covariance
+        from two centred temporaries and every eigenvector reordered."""
+        A = np.asarray(X, dtype=np.float64)
+        n, d = A.shape
+        mean = A.mean(axis=0)
+        C = (A - mean).T @ (A - mean) / max(n - 1, 1)
+        evals, evecs = np.linalg.eigh(C)
+        order = np.argsort(evals)[::-1]
+        evals, evecs = evals[order], evecs[:, order]
+        data_rank = int(np.sum(evals > 1e-12 * max(evals.max(initial=0.0), 1.0)))
+        truncated = rank > data_rank
+        r = max(min(rank, data_rank) if truncated else rank, 1)
+        return mean, evecs[:, :r].T, np.maximum(evals[:r], 0.0), truncated
+
+    @pytest.mark.parametrize("n,d", [(60, 8), (200, 40), (500, 120)])
+    def test_matches_centring_twice(self, n, d):
+        # centred orthonormal scores times a geometric spectrum: the covariance
+        # eigenvalues are 4**(-8i/d) / (n - 1), each well apart from the next
+        rng = np.random.default_rng(n + d)
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        Z = rng.standard_normal((n, d))
+        U, _ = np.linalg.qr(Z - Z.mean(axis=0))
+        X = U * 2.0 ** (-8 * np.arange(d) / d) @ Q.T + rng.standard_normal(d)
+        rank = d // 2
+        mean, comps, var, truncated = self._fit_centring_twice(X, rank)
+        proj = pca_fit(X, rank)
+        assert proj.mean.tobytes() == mean.tobytes()
+        assert not proj.truncated and not truncated and proj.rank == rank
+        np.testing.assert_allclose(proj.explained_variance, var, rtol=1e-12, atol=0)
+        signs = np.sign(np.sum(proj.components * comps, axis=1))
+        assert np.max(np.abs(proj.components * signs[:, None] - comps)) < 1e-10
+
+    @pytest.mark.parametrize("data_rank,rank", [(0, 3), (1, 3), (3, 5), (3, 3), (4, 6)])
+    def test_rank_deficient_matches_centring_twice(self, data_rank, rank):
+        rng = np.random.default_rng(10 * data_rank + rank)
+        X = rng.standard_normal((40, data_rank)) @ rng.standard_normal((data_rank, 8)) \
+            + rng.standard_normal(8)
+        _, comps, var, truncated = self._fit_centring_twice(X, rank)
+        proj = pca_fit(X, rank)
+        assert proj.truncated == truncated
+        assert proj.rank == comps.shape[0] == len(var)
 
     def test_pca_features_have_diagonal_gram(self):
         # after projection, off-diagonal centered Gram entries vanish
