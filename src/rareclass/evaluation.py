@@ -176,12 +176,12 @@ def train_document(corpus: LabeledCorpus, rows, subclasses, hp_template: dict,
     elif representation in ("tfidf", "pca"):
         counts = corpus.term_counts.rows(rows)
         vocab = featurize.build_vocab(counts, top_n=1000)         # the 1k of --rep tfidf1k
-        X = featurize.tfidf_transform(counts, vocab)
         descriptor, proj = {"kind": "tfidf"}, None
-        if representation == "pca":
-            proj = featurize.pca_fit(X, rank=min(pca_rank, min(X.shape)))
-            X = featurize.pca_transform(X, proj)
+        if representation == "pca":   # tf-idf as a temporary, freed before eigh, rebuilt below
+            proj = featurize.pca_fit(featurize.tfidf_transform(counts, vocab),
+                                     rank=min(pca_rank, len(counts), vocab.d))
             descriptor = {"kind": "pca", "rank": proj.rank}
+        X = featurize.text_features(counts, vocab, proj)
     else:
         raise EvalError(f"unknown representation {representation!r}")
 

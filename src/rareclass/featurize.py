@@ -139,7 +139,8 @@ def tfidf_transform(docs, vocab: Vocabulary) -> np.ndarray:
 
 
 def pca_fit(X: np.ndarray, rank: int) -> PcaProjection:
-    """Top-rank eigendirections of the centered covariance (d x d eigendecomposition)."""
+    """Top-rank eigendirections of the centered covariance (d x d eigendecomposition).
+    It holds no reference to X during eigh, so an X passed as a temporary is freed by then."""
     A = np.asarray(X, dtype=np.float64)
     n, d = A.shape
     if rank < 1:
@@ -147,9 +148,11 @@ def pca_fit(X: np.ndarray, rank: int) -> PcaProjection:
     if rank > min(n, d):
         raise FeaturizeError(f"rank {rank} exceeds min(n, d) = {min(n, d)}")
     mean = A.mean(axis=0)
+    C = np.empty((d, d))              # before the copy, so eigh can reuse the copy's freed space
     B = A - mean
-    C = B.T @ B / max(n - 1, 1)       # one buffer on both sides: BLAS's symmetric rank-k product
-    del B                             # free the centred copy before eigh allocates its workspace
+    np.matmul(B.T, B, out=C)          # one buffer on both sides: BLAS's symmetric rank-k product
+    C /= max(n - 1, 1)
+    del A, X, B
     evals, evecs = np.linalg.eigh(C)
     order = np.argsort(evals)[::-1]
     evals = evals[order]
@@ -163,3 +166,9 @@ def pca_fit(X: np.ndarray, rank: int) -> PcaProjection:
 
 def pca_transform(X: np.ndarray, proj: PcaProjection) -> np.ndarray:
     return (np.asarray(X, dtype=np.float64) - proj.mean) @ proj.components.T
+
+
+def text_features(counts: TermCounts, vocab: Vocabulary, proj: PcaProjection | None = None) -> np.ndarray:
+    """tf-idf of counted documents, then the PCA projection when one is given."""
+    X = tfidf_transform(counts, vocab)
+    return X if proj is None else pca_transform(X, proj)

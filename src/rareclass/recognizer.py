@@ -12,8 +12,7 @@ from typing import Iterable
 import numpy as np
 
 from .dataset import CorpusError, atomic_write, check_features, record_text
-from .featurize import (PcaProjection, TermCounts, Vocabulary, count_terms, pca_transform,
-                        tfidf_transform)
+from .featurize import PcaProjection, TermCounts, Vocabulary, count_terms, text_features
 from .objective import ModelParams
 from .rejection import EVT_POT, PERCENTILE, RejectionThresholds, TailFit
 
@@ -154,10 +153,9 @@ class ModelDocument:
         return X
 
     def text_features(self, counts: TermCounts) -> np.ndarray:
-        """The model's text representation (tf-idf, then the PCA projection for
-        a pca model) of counted documents."""
-        T = tfidf_transform(counts, self.vocab)
-        return pca_transform(T, self.projection) if self.representation["kind"] == "pca" else T
+        """The model's text representation (featurize.text_features) of counted documents."""
+        return text_features(counts, self.vocab,
+                             self.projection if self.representation["kind"] == "pca" else None)
 
 
 def predict_batch(model: ModelDocument, X: np.ndarray,

@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import run_single_by_hand, text_feature_corpus, train_by_hand
+from rareclass import featurize
 from rareclass.dataset import SplitResult, SyntheticConfig, gen_synthetic
 from rareclass.evaluation import (
     ConfusionTable, EvalError, acc_rare, aggregate, confusion_table,
@@ -250,6 +253,44 @@ class TestTrainDocument:
         save(train_by_hand(corpus, rep, rank, HP, cfg, PERCENTILE, 0.05), tmp_path / "hand.json")
         assert (tmp_path / "pipeline.json").read_bytes() == (tmp_path / "hand.json").read_bytes()
         assert doc.representation["kind"] == rep
+
+    def test_pca_tfidf_matrix_freed_before_eigh(self, monkeypatch):
+        # pca_fit gets the only reference to the tf-idf matrix it fits, so that
+        # matrix is gone when eigh runs; the projection is of a rebuilt one
+        corpus = text_feature_corpus()
+        built, alive_at_eigh = [], []
+        tfidf_transform, eigh = featurize.tfidf_transform, np.linalg.eigh
+
+        def tfidf_spy(*args):
+            X = tfidf_transform(*args)
+            built.append(weakref.ref(X))
+            return X
+
+        def eigh_spy(C):
+            alive_at_eigh.append(built[0]() is not None)
+            return eigh(C)
+
+        monkeypatch.setattr(featurize, "tfidf_transform", tfidf_spy)
+        monkeypatch.setattr(featurize.np.linalg, "eigh", eigh_spy)
+        train_document(corpus, range(corpus.n), range(1, corpus.K + 1), HP,
+                       TrainConfig(max_iters=5, step_size=0.003), representation="pca",
+                       pca_rank=4, reject_method=PERCENTILE, q=0.05)
+        assert alive_at_eigh == [False]
+        assert len(built) == 2
+
+    def test_tfidf_matrix_built_once_with_reference_bytes(self, tmp_path, monkeypatch):
+        corpus = text_feature_corpus()
+        cfg = TrainConfig(max_iters=40, step_size=0.003, seed=0)
+        calls = []
+        tfidf_transform = featurize.tfidf_transform
+        monkeypatch.setattr(featurize, "tfidf_transform",
+                            lambda *args: calls.append(args) or tfidf_transform(*args))
+        doc = train_document(corpus, range(corpus.n), range(1, corpus.K + 1), HP, cfg,
+                             representation="tfidf", reject_method=PERCENTILE, q=0.05)
+        assert len(calls) == 1
+        save(doc, tmp_path / "pipeline.json")
+        save(train_by_hand(corpus, "tfidf", 0, HP, cfg, PERCENTILE, 0.05), tmp_path / "hand.json")
+        assert (tmp_path / "pipeline.json").read_bytes() == (tmp_path / "hand.json").read_bytes()
 
     def test_subclasses_renumbered_in_given_order(self):
         corpus = text_feature_corpus()

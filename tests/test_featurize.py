@@ -196,6 +196,36 @@ class TestPca:
         signs = np.sign(np.sum(proj.components * comps, axis=1))
         assert np.max(np.abs(proj.components * signs[:, None] - comps)) < 1e-10
 
+    @staticmethod
+    def _fit_covariance_by_expression(X, rank):
+        """pca_fit's body as it was before it allocated the covariance ahead of
+        the centred copy: the covariance as one expression, then the copy freed."""
+        A = np.asarray(X, dtype=np.float64)
+        n, d = A.shape
+        mean = A.mean(axis=0)
+        B = A - mean
+        C = B.T @ B / max(n - 1, 1)
+        del B
+        evals, evecs = np.linalg.eigh(C)
+        order = np.argsort(evals)[::-1]
+        evals = evals[order]
+        data_rank = int(np.sum(evals > 1e-12 * max(evals.max(initial=0.0), 1.0)))
+        r = max(min(rank, data_rank), 1)
+        return mean, evecs[:, order[:r]].T.copy(), np.maximum(evals[:r], 0.0), rank > data_rank
+
+    @pytest.mark.parametrize("n,d,rank", [(1, 4, 1), (7, 3, 2), (5, 12, 3), (2000, 300, 30)])
+    @pytest.mark.parametrize("handed_over", [False, True])
+    def test_same_bytes_as_covariance_by_expression(self, n, d, rank, handed_over):
+        # the covariance written into a buffer allocated first is the same
+        # symmetric rank-k product, whether the caller keeps X or passes a temporary
+        X = np.random.default_rng(n + d).standard_normal((n, d)) + np.arange(d)
+        mean, comps, var, truncated = self._fit_covariance_by_expression(X, rank)
+        proj = pca_fit(X.copy() if handed_over else X, rank)
+        assert proj.mean.tobytes() == mean.tobytes()
+        assert proj.components.tobytes() == comps.tobytes()
+        assert proj.explained_variance.tobytes() == var.tobytes()
+        assert proj.truncated == truncated
+
     @pytest.mark.parametrize("data_rank,rank", [(0, 3), (1, 3), (3, 5), (3, 3), (4, 6)])
     def test_rank_deficient_matches_centring_twice(self, data_rank, rank):
         rng = np.random.default_rng(10 * data_rank + rank)
