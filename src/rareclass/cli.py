@@ -211,9 +211,12 @@ PREDICT_CHUNK = 4096
 
 def _chunk_features(model: ModelDocument, chunk: list[tuple[int, str]]) -> np.ndarray:
     """Parse, check and featurize one chunk: the (n, d) array predict routes.
-    A bad record is an error naming its line in the input file."""
+    A bad record is an error naming its line in the input file. Each line is
+    dropped from the chunk once parsed, so the chunk does not hold it."""
     records = []
-    for lineno, line in chunk:
+    chunk.reverse()
+    while chunk:
+        lineno, line = chunk.pop()
         rec = parse_line(lineno, line)
         try:
             model.check_record(rec)
@@ -229,8 +232,8 @@ def cmd_predict(args) -> int:
     totals = recognizer.StreamStats()
     output = atomic_open(args.out) if args.out else contextlib.nullcontext(sys.stdout)
     with output as out:
-        chunks = pool.chunked(read_lines(args.input), PREDICT_CHUNK)
-        with pool.map_chunks(functools.partial(_chunk_features, model), chunks) as (features, workers):
+        with pool.map_chunks(functools.partial(_chunk_features, model), read_lines(args.input),
+                             PREDICT_CHUNK) as (features, workers):
             # routed here, not in a worker, so that a wrapper of recognizer.predict_stream in
             # this process, such as a tracing span, sees every chunk
             for X in features:

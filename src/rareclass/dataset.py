@@ -296,8 +296,8 @@ def load_corpus(path, format: str = "jsonl") -> LabeledCorpus:
     """Load a corpus from jsonl or csv; subclass names get ids 1..K in first-appearance order.
     A jsonl file of more than one chunk is parsed on every CPU this process may use."""
     if format == "jsonl":
-        chunks = pool.chunked(read_lines(path), CORPUS_CHUNK, weight=lambda pair: len(pair[1]))
-        with pool.map_chunks(_check_chunk, chunks) as (results, _):
+        with pool.map_chunks(_check_chunk, read_lines(path), CORPUS_CHUNK,
+                             weight=lambda pair: len(pair[1])) as (results, _):
             docs, lines, names, features = _gather(results)
     elif format == "csv":
         with open(path, encoding="utf-8", newline="") as fh:

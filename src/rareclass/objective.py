@@ -3,7 +3,6 @@ the squared-Gram cache, and the penalty Hessian for desk-scale PSD checks."""
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +92,7 @@ class Hyperparams:
 
 
 def _fingerprint(X: np.ndarray) -> str:
+    import hashlib          # here, not at load: only train and evaluate hash X, and it maps OpenSSL
     return hashlib.sha256(np.ascontiguousarray(X, dtype=np.float64).data).hexdigest()
 
 

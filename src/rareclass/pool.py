@@ -1,6 +1,9 @@
-"""A fork pool that maps a function over chunks of an input file on every CPU
-the process may use, in job order; an input of one chunk, or a process allowed
-one CPU, is mapped in this process and never imports `multiprocessing`."""
+"""A fork pool that cuts the items of an input file into chunks and maps a
+function over them on every CPU the process may use, in chunk order. It reads
+one item past the first chunk to tell whether a second exists, so a worker
+starts holding at most the first chunk and that item. An input of one chunk,
+or a process allowed one CPU, is mapped in this process and never imports
+`multiprocessing`."""
 
 from __future__ import annotations
 
@@ -34,16 +37,20 @@ def _raise(exc: Exception):
     yield                                         # a generator: it raises when first read
 
 
-def _look_ahead(chunks):
-    """(the same chunks, whether there are at least two). An error met while
-    reading the second is raised after the first chunk, where a plain loop meets it."""
-    head = list(itertools.islice(chunks, 1))
+def _look_ahead(items, size: int, weight):
+    """(the items in chunks, whether there are at least two), having read one item
+    past the first chunk to tell. An error met while reading that item is raised
+    after the first chunk, where a plain loop meets it."""
+    items = iter(items)
+    head = list(itertools.islice(chunked(items, size, weight), 1))
     try:
-        head += itertools.islice(chunks, 1)
+        following = list(itertools.islice(items, 1))
     except Exception as exc:
         return itertools.chain(head, _raise(exc)), False
-    # a list iterator lets go of the list once read, so the first chunks are not held to the end
-    return itertools.chain(iter(head), chunks), len(head) == 2
+    # chunked starts a chunk after each one it yields, so going on from the item
+    # read keeps every boundary; a list iterator lets go of the first chunk once read
+    rest = chunked(itertools.chain(following, items), size, weight)
+    return itertools.chain(iter(head), rest), bool(following)
 
 
 def _serve(fn, pipe, inherited):
@@ -144,11 +151,11 @@ def _chunk_mapper(workers: int):
 
 
 @contextlib.contextmanager
-def map_chunks(fn, chunks):
-    """(fn over chunks in order, the number of processes mapping it): every CPU
-    this process may run on, once a second chunk exists, else this process alone.
-    The workers are stopped when the block ends."""
-    chunks, several = _look_ahead(chunks)
+def map_chunks(fn, items, size: int, weight=lambda item: 1):
+    """(fn over `chunked(items, size, weight)` in order, the number of processes
+    mapping it): every CPU this process may run on, once a second chunk exists,
+    else this process alone. The workers are stopped when the block ends."""
+    chunks, several = _look_ahead(items, size, weight)
     workers = len(os.sched_getaffinity(0)) if several and hasattr(os, "sched_getaffinity") else 1
     with _chunk_mapper(workers) as mapper:
         yield mapper(fn, chunks), workers

@@ -92,6 +92,11 @@ class ModelDocument:
             raise ModelDocumentError(f"unknown representation {self.representation!r}")
         if kind != "pca" and "rank" in self.representation:
             raise ModelDocumentError(f"'representation.rank' is not a key of a {kind} model")
+        # a part the kind ignores would be dropped unread, so a file that carries one is refused
+        if kind == "raw" and self.vocab is not None:
+            raise ModelDocumentError("'vocab' must be null in a raw model")
+        if kind != "pca" and self.projection is not None:
+            raise ModelDocumentError(f"'projection' must be null in a {kind} model")
         if self.representation.get("d", self.d) != self.d:
             raise ModelDocumentError(
                 f"'representation.d' {self.representation['d']} inconsistent with d={self.d}")
@@ -154,8 +159,7 @@ class ModelDocument:
 
     def text_features(self, counts: TermCounts) -> np.ndarray:
         """The model's text representation (featurize.text_features) of counted documents."""
-        return text_features(counts, self.vocab,
-                             self.projection if self.representation["kind"] == "pca" else None)
+        return text_features(counts, self.vocab, self.projection)
 
 
 def predict_batch(model: ModelDocument, X: np.ndarray,

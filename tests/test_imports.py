@@ -1,0 +1,64 @@
+"""What a command loads. `predict` and `coverage` never hash a feature matrix,
+so they never load the hashing library (`_hashlib`, which maps OpenSSL's
+libcrypto); `train` does, where it fingerprints X for the Gram cache. Each
+command runs in a fresh interpreter, so that the test runner's own imports
+cannot hide a load."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import text_feature_corpus, write_integer_model
+from rareclass import cli
+from rareclass.cli import EXIT_OK
+from rareclass.dataset import save_corpus
+
+SRC = str(Path(cli.__file__).resolve().parent.parent)
+TRAIN_FLAGS = ["--iters", "5", "--step", "0.003", "--mu", "1e-4"]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("imports")
+    corpus = root / "corpus.jsonl"
+    save_corpus(text_feature_corpus(), corpus)
+    stream = root / "stream.jsonl"
+    stream.write_text("".join(f'{{"features": [{i % 3}, {i % 2}, {i % 4}]}}\n' for i in range(6)))
+    return root, str(corpus), write_integer_model(root / "int_model.json"), str(stream)
+
+
+def _run(argv, setup=""):
+    """(exit code, whether `_hashlib` was loaded) of cli.main(argv) in a fresh interpreter."""
+    code = ("import os, sys\nfrom rareclass import cli\n" + setup +
+            f"rc = cli.main({argv!r})\n"
+            "print('\\nexit', rc, '_hashlib' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    _, rc, loaded = proc.stdout.splitlines()[-1].split()
+    return int(rc), loaded == "True"
+
+
+class TestHashingLibrary:
+    @pytest.mark.parametrize("setup", [
+        "",
+        # two chunks on two CPUs: the fork pool runs too
+        "cli.PREDICT_CHUNK = 3\nos.sched_getaffinity = lambda pid: {0, 1}\n",
+    ], ids=["in-process", "pool"])
+    def test_predict_does_not_load_it(self, inputs, setup):
+        root, _, model, stream = inputs
+        argv = ["predict", "--model", model, "--input", stream, "--out", str(root / "d.jsonl")]
+        assert _run(argv, setup) == (EXIT_OK, False)
+
+    def test_coverage_does_not_load_it(self, inputs):
+        _, corpus, _, _ = inputs
+        assert _run(["coverage", "--input", corpus]) == (EXIT_OK, False)
+
+    def test_train_loads_it_to_hash_x(self, inputs):
+        root, corpus, _, _ = inputs
+        argv = ["train", "--input", corpus, "--rep", "raw", *TRAIN_FLAGS,
+                "--out", str(root / "model.json")]
+        assert _run(argv) == (EXIT_OK, True)

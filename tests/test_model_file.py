@@ -106,6 +106,21 @@ def test_corrupted_field_is_data_error_naming_its_key(trained, name, corrupt, ke
     assert not wrote
 
 
+# (model, the model whose part is pasted in, the part): a part the model's kind would ignore
+PASTED = [("tfidf", "pca", "projection"), ("raw", "tfidf", "vocab"), ("raw", "pca", "projection")]
+
+
+@pytest.mark.parametrize("name, donor, key", PASTED, ids=[f"{key}-in-{name}" for name, _, key in PASTED])
+def test_part_the_kind_ignores_is_data_error_naming_its_key(trained, name, donor, key):
+    root, models = trained
+    _, doc, stream = models[name]
+    doc = dict(doc, **{key: models[donor][1][key]})
+    rc, err, wrote = predict_corrupted(root, stream, doc)
+    assert rc == EXIT_DATA
+    assert f"'{key}'" in err and "Traceback" not in err
+    assert not wrote
+
+
 @pytest.mark.parametrize("content", [b'{"version": 1, "d": 2,', b"\xff\xfe{}"], ids=["truncated", "not-utf8"])
 def test_unreadable_model_file_is_data_error(trained, content):
     root, models = trained

@@ -304,6 +304,59 @@ class TestReadingKeepsPace:
         assert multiprocessing.active_children() == []
 
 
+class TestOneItemLookAhead:
+    """map_chunks reads one item past the first chunk to decide whether to fork."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """[(items read, workers started)] when each fork pool reads its first job."""
+        _cpus(monkeypatch, 2)
+        self.read, seen, fork_map = [], [], pool._fork_map
+
+        def spy(fn, jobs, *, workers, started):
+            def jobs_seen():                      # _fork_map starts its workers, then reads
+                seen.append((len(self.read), len(started)))
+                yield from jobs
+            return fork_map(fn, jobs_seen(), workers=workers, started=started)
+        monkeypatch.setattr(pool, "_fork_map", spy)
+        return seen
+
+    def items(self, n, error=None):
+        """0 to n - 1, each noted in self.read as it is read, then `error` raised."""
+        for i in range(n):
+            self.read.append(i)
+            yield i
+        if error is not None:
+            raise error
+
+    def test_workers_start_one_item_past_the_first_chunk(self, forks):
+        with pool.map_chunks(sum, self.items(20), 5) as (results, workers):
+            assert list(results) == [sum(range(i, i + 5)) for i in range(0, 20, 5)]
+        assert workers == 2 and forks == [(5 + 1, 2)]
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7])
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 15])
+    def test_same_chunks_as_chunked(self, forks, size, n):
+        weight = lambda i: i % 3                  # zero-weight items too
+        with pool.map_chunks(list, range(n), size, weight=weight) as (results, _):
+            assert list(results) == list(pool.chunked(range(n), size, weight=weight))
+
+    def test_one_full_chunk_runs_in_process(self, forks, tmp_path, int_model, capsys, monkeypatch):
+        stream = tmp_path / "s.jsonl"
+        stream.write_text(_good(5))
+        monkeypatch.setattr(cli, "PREDICT_CHUNK", 5)
+        rc, lines, err = _predict(capsys, int_model, str(stream))
+        assert rc == EXIT_OK and len(lines.splitlines()) == 5
+        assert _workers(err) == 1 and forks == []
+
+    def test_error_reading_the_next_item_comes_after_the_first_chunk(self, forks):
+        with pool.map_chunks(sum, self.items(5, ValueError("item 6")), 5) as (results, workers):
+            assert next(results) == sum(range(5))
+            with pytest.raises(ValueError, match="item 6"):
+                next(results)
+        assert workers == 1 and forks == []
+
+
 def _record(draw, kind, d):
     """One stream record, as a line, that `predict` must refuse."""
     good = [draw(st.integers(-3, 3)) for _ in range(d)]
