@@ -17,7 +17,7 @@ import numpy as np
 from . import coverage as cov
 from . import evaluation, featurize, pool, recognizer, rejection, trainer
 from .dataset import (CorpusError, RARE, SyntheticConfig, atomic_open, atomic_write,
-                      gen_synthetic, load_corpus, parse_line, read_lines, save_corpus)
+                      gen_synthetic, load_corpus, map_lines, parse_line, save_corpus)
 from .objective import Hyperparams, ObjectiveError, bind_data
 from .recognizer import KNOWN, Decision, ModelDocument, ModelDocumentError
 from .trainer import BatchSizeError, DivergenceError, TrainConfig
@@ -232,8 +232,10 @@ def cmd_predict(args) -> int:
     totals = recognizer.StreamStats()
     output = atomic_open(args.out) if args.out else contextlib.nullcontext(sys.stdout)
     with output as out:
-        with pool.map_chunks(functools.partial(_chunk_features, model), read_lines(args.input),
-                             PREDICT_CHUNK) as (features, workers):
+        # a regular file is read here as line spans, each chunk's lines by the process that
+        # featurizes it; a pipe's lines, or a one-CPU process's, are read here (map_lines)
+        with map_lines(functools.partial(_chunk_features, model), args.input,
+                       PREDICT_CHUNK) as (features, workers):
             # routed here, not in a worker, so that a wrapper of recognizer.predict_stream in
             # this process, such as a tracing span, sees every chunk
             for X in features:

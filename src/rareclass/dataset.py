@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
+import io
 import json
 import math
 import os
+import stat
 import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -176,16 +179,75 @@ def record_subclass(rec: dict) -> str | None:
     return name or None
 
 
+def _numbered(fh, path):
+    """(line number from 1, line) for every line of the text file fh; a file
+    that is not UTF-8 is a CorpusError naming `path`, met where fh decodes it."""
+    try:
+        yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path} is not UTF-8 text ({exc.reason})") from exc
+
+
+def _non_blank(fh, path):
+    """_numbered's pairs whose line is not blank."""
+    return ((lineno, line) for lineno, line in _numbered(fh, path) if line.strip())
+
+
 def read_lines(path):
     """(line number from 1, line) for each non-blank line of a text file; a
     file that is not UTF-8 is a CorpusError naming it."""
     with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                if line.strip():
-                    yield lineno, line
-        except UnicodeDecodeError as exc:
-            raise CorpusError(f"{path} is not UTF-8 text ({exc.reason})") from exc
+        yield from _non_blank(fh, path)
+
+
+def _spans(fh, path):
+    """(line number, byte offset, byte length) of each non-blank line of fh, a
+    UTF-8 text file read with newline="" so that each line keeps its own ending
+    and its length in bytes is exact."""
+    at = 0
+    for lineno, line in _numbered(fh, path):
+        length = len(line) if line.isascii() else len(line.encode())
+        if line.strip():
+            yield lineno, at, length
+        at += length
+
+
+def _read_spans(fn, fd: int, spans: list):
+    """fn over the (line number, line) pairs a chunk of `_spans` stands for, read
+    from the file descriptor fd without moving its offset. Each line ends as a
+    text file reads it: a CR or CRLF ending reads as LF."""
+    start = spans[0][1]
+    data = memoryview(os.pread(fd, spans[-1][1] + spans[-1][2] - start, start))
+    pairs = []
+    for lineno, at, length in spans:
+        line = str(data[at - start:at - start + length], "utf-8")
+        pairs.append((lineno, line.rstrip("\r\n") + "\n" if line.endswith(("\r", "\r\n")) else line))
+    del data                                    # fn holds only the decoded lines
+    return fn(pairs)
+
+
+@contextlib.contextmanager
+def map_lines(fn, path, size: int, weigh: bool = False):
+    """`pool.map_chunks` of fn over the (line number, line) pairs of the non-blank
+    lines of the UTF-8 text file at `path`, `size` lines to a chunk, or with `weigh`
+    `size` characters. When the input is a regular file that may hold more than one
+    chunk and this process may use more than one CPU, this process reads only
+    each line's span and each chunk's mapper reads its lines from the file (a
+    weighed chunk is then `size` bytes), so no chunk's text is held or pickled
+    here. A pipe, which cannot be read twice, and a process allowed one CPU hand
+    the mapper lines read here."""
+    with open(path, "rb") as raw:
+        info = os.fstat(raw.fileno())
+        by_span = (stat.S_ISREG(info.st_mode) and not (weigh and info.st_size <= size)
+                   and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1)
+        with io.TextIOWrapper(raw, encoding="utf-8", newline="" if by_span else None) as fh:
+            if by_span:
+                items, fn = _spans(fh, path), functools.partial(_read_spans, fn, raw.fileno())
+            else:
+                items = _non_blank(fh, path)
+            weight = (lambda item: item[2] if by_span else len(item[1])) if weigh else (lambda item: 1)
+            with pool.map_chunks(fn, items, size, weight) as mapped:
+                yield mapped
 
 
 def parse_line(lineno: int, line: str):
@@ -227,7 +289,7 @@ def _record_fields(lineno: int, rec) -> tuple[str, str, str | None, list | None]
     return text, label, name, features
 
 
-# characters of jsonl lines one process parses at a time
+# characters of jsonl lines one process parses at a time (bytes, on map_lines's span path)
 CORPUS_CHUNK = 2 << 20
 
 
@@ -294,10 +356,10 @@ def _gather(results) -> tuple[list[Doc], list[int], tuple[str, ...], np.ndarray 
 
 def load_corpus(path, format: str = "jsonl") -> LabeledCorpus:
     """Load a corpus from jsonl or csv; subclass names get ids 1..K in first-appearance order.
-    A jsonl file of more than one chunk is parsed on every CPU this process may use."""
+    A jsonl file of more than one chunk is parsed on every CPU this process may use, each
+    process reading its chunk's lines from the file unless the file is a pipe (map_lines)."""
     if format == "jsonl":
-        with pool.map_chunks(_check_chunk, read_lines(path), CORPUS_CHUNK,
-                             weight=lambda pair: len(pair[1])) as (results, _):
+        with map_lines(_check_chunk, path, CORPUS_CHUNK, weigh=True) as (results, _):
             docs, lines, names, features = _gather(results)
     elif format == "csv":
         with open(path, encoding="utf-8", newline="") as fh:
