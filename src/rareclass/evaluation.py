@@ -9,7 +9,7 @@ import numpy as np
 
 from . import featurize, recognizer, rejection, trainer
 from .dataset import RARE, LabeledCorpus, SplitResult, split_protocol
-from .objective import Hyperparams, bind_data, gram_squared, identity_gram
+from .objective import Hyperparams, bind_data, identity_gram
 from .recognizer import EMERGING, MAJORITY, Decision, ModelDocument
 
 METRIC_NAMES = ("precision", "recall", "f1", "precision_seen",
@@ -190,7 +190,7 @@ def train_document(corpus: LabeledCorpus, rows, subclasses, hp_template: dict,
     docs = [corpus.docs[i] for i in rows]
     data = bind_data(X, np.array([d.label == RARE for d in docs]),
                      np.array([renumber.get(d.subclass or 0, 0) for d in docs]))
-    gram = identity_gram(X) if representation == "pca" else gram_squared(X)
+    gram = identity_gram(X) if representation == "pca" else None    # None: fit builds (X^T X)^2, hashing X once
     hp = Hyperparams.uniform(data.K, **hp_template)
     model = trainer.fit(data, hp, cfg, gram=gram)
     thresholds = rejection.calibrate(model, data, method=reject_method, q=q)

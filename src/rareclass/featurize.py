@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import re
 from array import array
 from collections import Counter
@@ -133,14 +134,25 @@ def tfidf_transform(docs, vocab: Vocabulary) -> np.ndarray:
     X = np.zeros((len(table), vocab.d))
     row, col, cnt = table.entries(vocab)
     X[row, col] = cnt * idf[col]
-    norms = np.array([np.linalg.norm(x) for x in X])
+    norms = np.sqrt((X[:, None, :] @ X[:, :, None]).ravel())   # each row's ddot, as np.linalg.norm
     X /= np.where(norms > 0, norms, 1.0)[:, None]
     return X
 
 
+def _release_free_heap() -> None:
+    """Return the heap's free pages to the OS with glibc's malloc_trim; a no-op
+    on a C library without it."""
+    try:
+        trim = ctypes.CDLL("libc.so.6").malloc_trim
+    except (OSError, AttributeError):
+        return
+    trim(ctypes.c_size_t(0))
+
+
 def pca_fit(X: np.ndarray, rank: int) -> PcaProjection:
     """Top-rank eigendirections of the centered covariance (d x d eigendecomposition).
-    It holds no reference to X during eigh, so an X passed as a temporary is freed by then."""
+    It holds no reference to X during eigh, so an X passed as a temporary is freed by then,
+    and the heap it and the centred copy leave is returned to the OS before eigh allocates."""
     A = np.asarray(X, dtype=np.float64)
     n, d = A.shape
     if rank < 1:
@@ -153,6 +165,7 @@ def pca_fit(X: np.ndarray, rank: int) -> PcaProjection:
     np.matmul(B.T, B, out=C)          # one buffer on both sides: BLAS's symmetric rank-k product
     C /= max(n - 1, 1)
     del A, X, B
+    _release_free_heap()
     evals, evecs = np.linalg.eigh(C)
     order = np.argsort(evals)[::-1]
     evals = evals[order]

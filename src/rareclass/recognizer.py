@@ -27,7 +27,7 @@ class ModelDocumentError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     verdict: str                     # "Majority" | "Known" | "Emerging"
     subclass: int | None             # set iff verdict == Known

@@ -90,10 +90,11 @@ def fit(data: BoundData, hp: Hyperparams, cfg: TrainConfig = TrainConfig(),
     else:
         gram.check(data.X)
     step0 = cfg.step_size if cfg.step_size is not None else default_step_size(hp, gram)
-    rng = np.random.default_rng(cfg.seed)
     m = cfg.batch
     if m is not None and not 1 <= m <= data.n:
         raise BatchSizeError(f"batch size {m} outside 1..{data.n}")
+    # only a minibatch fit samples, so a full-batch one never loads numpy.random
+    rng = None if m is None else np.random.default_rng(cfg.seed)
 
     d, K = data.d, data.K
     full = (data.X, data.y_all, data.R, data.Yk)

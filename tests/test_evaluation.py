@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import run_single_by_hand, text_feature_corpus, train_by_hand
-from rareclass import featurize
+from rareclass import featurize, objective
 from rareclass.dataset import SplitResult, SyntheticConfig, gen_synthetic
 from rareclass.evaluation import (
     ConfusionTable, EvalError, acc_rare, aggregate, confusion_table,
@@ -277,6 +277,51 @@ class TestTrainDocument:
                        pca_rank=4, reject_method=PERCENTILE, q=0.05)
         assert alive_at_eigh == [False]
         assert len(built) == 2
+
+    def test_pca_heap_released_after_the_copies_die_and_before_eigh(self, monkeypatch):
+        # the heap goes back to the OS once the tf-idf temporary and its centred
+        # copy are dead, so eigh's buffers are the only new pages it adds
+        corpus = text_feature_corpus()
+        built, centred, events = [], [], []
+        tfidf_transform, matmul, eigh = featurize.tfidf_transform, np.matmul, np.linalg.eigh
+        release = featurize._release_free_heap
+
+        def tfidf_spy(*args):
+            X = tfidf_transform(*args)
+            built.append(weakref.ref(X))
+            return X
+
+        def matmul_spy(a, b, **kw):
+            if "out" in kw:                       # pca_fit's covariance product of the centred copy
+                centred.append(weakref.ref(b))
+            return matmul(a, b, **kw)
+
+        def release_spy():
+            events.append(("release", built[0]() is None, centred[0]() is None))
+            release()
+
+        monkeypatch.setattr(featurize, "tfidf_transform", tfidf_spy)
+        monkeypatch.setattr(featurize.np, "matmul", matmul_spy)
+        monkeypatch.setattr(featurize, "_release_free_heap", release_spy)
+        monkeypatch.setattr(featurize.np.linalg, "eigh", lambda C: events.append("eigh") or eigh(C))
+        train_document(corpus, range(corpus.n), range(1, corpus.K + 1), HP,
+                       TrainConfig(max_iters=5, step_size=0.003), representation="pca",
+                       pca_rank=4, reject_method=PERCENTILE, q=0.05)
+        assert events == [("release", True, True), "eigh"]
+        assert len(centred) == 1
+
+    @pytest.mark.parametrize("rep, rank, fingerprints", [("raw", 0, 1), ("tfidf", 0, 1), ("pca", 4, 2)])
+    def test_x_fingerprinted_once_unless_the_gram_is_given(self, monkeypatch, rep, rank, fingerprints):
+        # raw and tfidf leave the squared Gram to fit, which hashes X as it
+        # builds it; pca's identity Gram is built here and checked by fit
+        corpus = text_feature_corpus()
+        calls = []
+        fingerprint = objective._fingerprint
+        monkeypatch.setattr(objective, "_fingerprint", lambda X: calls.append(1) or fingerprint(X))
+        train_document(corpus, range(corpus.n), range(1, corpus.K + 1), HP,
+                       TrainConfig(max_iters=5, step_size=0.003), representation=rep,
+                       pca_rank=rank, reject_method=PERCENTILE, q=0.05)
+        assert len(calls) == fingerprints
 
     def test_tfidf_matrix_built_once_with_reference_bytes(self, tmp_path, monkeypatch):
         corpus = text_feature_corpus()

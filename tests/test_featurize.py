@@ -2,12 +2,14 @@ import hashlib
 import json
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import build_vocab_by_hand, tfidf_by_hand
+from rareclass import featurize
 from rareclass.featurize import (
     FeaturizeError, TermCounts, build_vocab, count_terms, pca_fit,
     pca_transform, tfidf_transform, tokenize,
@@ -98,6 +100,19 @@ class TestTfidf:
         expected /= np.linalg.norm(expected)
         assert np.allclose(X, expected)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 16, 17, 64, 255, 1000, 1025, 4097])
+    def test_row_norms_same_bytes_as_per_row_norm(self, d):
+        # the one batched product of each row with itself gives each row the
+        # bits np.linalg.norm gives it alone, at every BLAS block boundary
+        rng = np.random.default_rng(d)
+        words = ["w" + "".join(chr(97 + (i // 26 ** k) % 26) for k in range(3)) for i in range(d)]
+        texts = [" ".join(words)] + [" ".join(rng.choice(words, size=int(rng.integers(1, 3 * d))))
+                                     for _ in range(30)]
+        vocab = build_vocab(texts, top_n=d)
+        assert vocab.d == d
+        docs = texts + ["zz", " ".join(rng.choice(words, size=2 * d))]
+        assert tfidf_transform(docs, vocab).tobytes() == tfidf_by_hand(docs, vocab).tobytes()
+
 
 class TestPca:
     def test_axis_aligned(self):
@@ -149,6 +164,28 @@ class TestPca:
         X = np.random.default_rng(9).standard_normal((10, 4))
         with pytest.raises(FeaturizeError, match=f"rank {rank} is below 1"):
             pca_fit(X, rank=rank)
+
+    @pytest.mark.parametrize("cdll", [
+        lambda name: (_ for _ in ()).throw(OSError(f"{name}: cannot open shared object file")),
+        lambda name: SimpleNamespace(),          # a C library with no malloc_trim
+    ], ids=["no-glibc", "no-malloc-trim"])
+    def test_same_bytes_without_malloc_trim(self, monkeypatch, cdll):
+        X = np.random.default_rng(11).standard_normal((300, 40)) + np.arange(40)
+        expected = pca_fit(X, rank=5)
+        opened = []
+        monkeypatch.setattr(featurize.ctypes, "CDLL", lambda name: opened.append(name) or cdll(name))
+        proj = pca_fit(X, rank=5)
+        assert opened == ["libc.so.6"]
+        for field in ("mean", "components", "explained_variance"):
+            assert getattr(proj, field).tobytes() == getattr(expected, field).tobytes()
+        assert proj.truncated == expected.truncated
+
+    def test_trims_the_heap_once_per_fit(self, monkeypatch):
+        pads = []
+        libc = SimpleNamespace(malloc_trim=lambda pad: pads.append(pad.value) or 1)
+        monkeypatch.setattr(featurize.ctypes, "CDLL", lambda name: libc)
+        pca_fit(np.random.default_rng(12).standard_normal((50, 6)), rank=2)
+        assert pads == [0]
 
     def test_peak_memory_below_one_and_a_half_inputs(self):
         # the centred copy is made once and freed before eigh: the traced peak

@@ -1,6 +1,7 @@
 """What a command loads. `predict` and `coverage` never hash a feature matrix,
 so they never load the hashing library (`_hashlib`, which maps OpenSSL's
-libcrypto); `train` does, where it fingerprints X for the Gram cache. Each
+libcrypto); `train` does, where it fingerprints X for the Gram cache. A
+full-batch `train` never samples, so it never loads `numpy.random`. Each
 command runs in a fresh interpreter, so that the test runner's own imports
 cannot hide a load."""
 
@@ -30,11 +31,11 @@ def inputs(tmp_path_factory):
     return root, str(corpus), write_integer_model(root / "int_model.json"), str(stream)
 
 
-def _run(argv, setup=""):
-    """(exit code, whether `_hashlib` was loaded) of cli.main(argv) in a fresh interpreter."""
+def _run(argv, setup="", module="_hashlib"):
+    """(exit code, whether `module` was loaded) of cli.main(argv) in a fresh interpreter."""
     code = ("import os, sys\nfrom rareclass import cli\n" + setup +
             f"rc = cli.main({argv!r})\n"
-            "print('\\nexit', rc, '_hashlib' in sys.modules)\n")
+            f"print('\\nexit', rc, {module!r} in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=120)
@@ -62,3 +63,17 @@ class TestHashingLibrary:
         argv = ["train", "--input", corpus, "--rep", "raw", *TRAIN_FLAGS,
                 "--out", str(root / "model.json")]
         assert _run(argv) == (EXIT_OK, True)
+
+
+class TestNumpyRandom:
+    def test_full_batch_train_does_not_load_it(self, inputs):
+        root, corpus, _, _ = inputs
+        argv = ["train", "--input", corpus, "--rep", "raw", *TRAIN_FLAGS,
+                "--out", str(root / "full.json")]
+        assert _run(argv, module="numpy.random") == (EXIT_OK, False)
+
+    def test_minibatch_train_loads_it_to_sample(self, inputs):
+        root, corpus, _, _ = inputs
+        argv = ["train", "--input", corpus, "--rep", "raw", *TRAIN_FLAGS, "--batch", "16",
+                "--out", str(root / "batch.json")]
+        assert _run(argv, module="numpy.random") == (EXIT_OK, True)
