@@ -158,7 +158,10 @@ def bind_data(X: np.ndarray, rare_mask: np.ndarray, subclasses: np.ndarray) -> B
     rare_mask = np.asarray(rare_mask, dtype=bool)
     subclasses = np.asarray(subclasses, dtype=int)
     y_all = np.where(rare_mask, 1.0, -1.0)
-    R = X[rare_mask]
+    rare = np.flatnonzero(rare_mask)
+    # rare rows in one run (a grouped corpus) are a view of X, not a second copy
+    one_run = rare_mask.shape == X.shape[:1] and len(rare) and rare[-1] - rare[0] + 1 == len(rare)
+    R = X[rare[0]:rare[-1] + 1] if one_run else X[rare_mask]
     subs = subclasses[rare_mask]
     K = int(subs.max(initial=0))
     Yk = np.where(subs[None, :] == np.arange(1, K + 1)[:, None], 1.0, -1.0)

@@ -62,10 +62,22 @@ def _gpd_moments(excesses: np.ndarray) -> tuple[float, float] | None:
     return xi, sigma
 
 
+def _quantile(scores: np.ndarray, q: float) -> float:
+    """np.quantile(scores, q) bit for bit, without the np.unique that loads numpy.ma."""
+    n = len(scores)
+    v = (n - 1) * q
+    lo = -1 if v >= n - 1 else int(v)     # at the last index, numpy takes the max as both ends
+    s = np.partition(scores, sorted({0, -1, lo, lo + 1}))     # numpy's kth set: ties land alike
+    if np.isnan(s[-1]):
+        return float(s[-1])
+    a, b, t = s[lo], s[lo + 1 if lo >= 0 else -1], v - lo     # numpy's _lerp, both branches
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
 def _pot_lower_threshold(scores: np.ndarray, q: float) -> tuple[float, TailFit] | None:
     """POT on the lower tail of positive-member scores: excesses are u - s below the anchor."""
     m = len(scores)
-    u = float(np.quantile(scores, ANCHOR_QUANTILE))
+    u = _quantile(scores, ANCHOR_QUANTILE)
     excesses = u - scores[scores < u]
     if len(excesses) < 2:
         return None
@@ -101,7 +113,7 @@ def calibrate_scores(per_subclass_scores: list[np.ndarray], method: str = EVT_PO
                 f"subclass {k + 1}: {len(scores)} samples < {MIN_SAMPLES[method]} required for {method}")
         pot = _pot_lower_threshold(scores, q) if method == EVT_POT else None
         # the percentile rule: the method itself, or EVT's fallback when the tail fit degenerates
-        t[k], tail = pot or (float(np.quantile(scores, q)), None)
+        t[k], tail = pot or (_quantile(scores, q), None)
         tails.append(tail)
         fallback.append(method == EVT_POT and pot is None)
     return RejectionThresholds(t=t, method=method, q=q,

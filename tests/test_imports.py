@@ -1,10 +1,12 @@
 """What a command loads. `predict` and `coverage` never hash a feature matrix,
 so they never load the hashing library (`_hashlib`, which maps OpenSSL's
 libcrypto); `train` does, where it fingerprints X for the Gram cache. A
-full-batch `train` never samples, so it never loads `numpy.random`. Each
+full-batch `train` never samples, so it never loads `numpy.random`. Neither
+`train` nor `evaluate` loads `numpy.ma`, which `np.quantile` would. Each
 command runs in a fresh interpreter, so that the test runner's own imports
 cannot hide a load."""
 
+import json
 import os
 import subprocess
 import sys
@@ -77,3 +79,20 @@ class TestNumpyRandom:
         argv = ["train", "--input", corpus, "--rep", "raw", *TRAIN_FLAGS, "--batch", "16",
                 "--out", str(root / "batch.json")]
         assert _run(argv, module="numpy.random") == (EXIT_OK, True)
+
+
+class TestNumpyMa:
+    @pytest.mark.parametrize("batch", [[], ["--batch", "16"]], ids=["full-batch", "minibatch"])
+    def test_train_does_not_load_it(self, inputs, batch):
+        root, corpus, _, _ = inputs
+        argv = ["train", "--input", corpus, "--rep", "raw", *TRAIN_FLAGS, *batch,
+                "--out", str(root / "ma.json")]
+        assert _run(argv, module="numpy.ma") == (EXIT_OK, False)
+
+    def test_evaluate_does_not_load_it(self, inputs):
+        root, corpus, _, _ = inputs
+        out = root / "report.json"
+        argv = ["evaluate", "--input", corpus, "--rep", "pca:4", "--reps", "2", "--iters", "40",
+                "--step", "0.003", "--mu", "1e-4", "--q", "0.05", "--out", str(out)]
+        assert _run(argv, module="numpy.ma") == (EXIT_OK, False)
+        assert not json.loads(out.read_text())["incomplete"]        # every repetition calibrated

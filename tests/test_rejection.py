@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rareclass import rejection
 from rareclass.objective import Hyperparams, bind_data
@@ -30,6 +31,39 @@ class TestPercentile:
     def test_min_samples(self):
         with pytest.raises(RejectionError, match="samples"):
             calibrate_scores([np.array([1.0])], method=PERCENTILE)
+
+
+# ties, signed zeros and a NaN among ordinary finite values
+SCORE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, float("nan")]),
+                  st.floats(allow_nan=False, allow_infinity=False))
+QUANTILE = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+    [rejection.ANCHOR_QUANTILE, 0.01, 1e-300, 5e-324, 1e-12, 1 - 1e-12, 1 - 2 ** -53]))
+
+
+class TestQuantile:
+    """rejection._quantile stands in for np.quantile, which loads numpy.ma."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(scores=st.lists(SCORE, min_size=1, max_size=40), q=QUANTILE)
+    # numpy partitions on {0, -1, lo, lo + 1}; a full sort leaves another zero at index 4
+    @example(scores=[0.0, 0.0, 0.0, 0.0, -0.0, -0.0], q=0.99)
+    @example(scores=[0.0, 0.0, -0.0, 0.0, 0.0, -0.0], q=0.99)
+    # n = 1: numpy clamps both neighbours to index -1, so gamma is 1 and b - 0 * 0 keeps -0.0
+    @example(scores=[-0.0], q=0.2)
+    @example(scores=[-0.0, -0.0], q=1.0)
+    @example(scores=[1.0, float("nan"), -1.0], q=0.5)
+    def test_same_bits_as_numpy(self, scores, q):
+        scores = np.array(scores)
+        with np.errstate(all="ignore"):         # b - a may overflow, in numpy as here
+            want = np.float64(np.quantile(scores, q)).tobytes()
+            got = np.float64(rejection._quantile(scores.copy(), q)).tobytes()
+        assert got == want
+
+    def test_leaves_scores_unchanged(self):
+        scores = np.array([3.0, -1.0, 2.0, 0.5, -4.0])
+        before = scores.tobytes()
+        rejection._quantile(scores, 0.2)
+        assert scores.tobytes() == before
 
 
 class TestEvtPot:
