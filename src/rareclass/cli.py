@@ -206,7 +206,7 @@ def cmd_train(args) -> int:
 
 
 # records read, featurized, routed and written at a time: memory stays flat in the stream length
-PREDICT_CHUNK = 4096
+PREDICT_CHUNK = 1024
 
 
 def _chunk_features(model: ModelDocument, chunk: list[tuple[int, str]]) -> np.ndarray:

@@ -221,10 +221,11 @@ def solve_greedy(p: CoverProgram) -> CoverSolution:
             free = np.flatnonzero(taken == 0)
             if len(free) == 0:
                 return
-            gains = [(int(target[~covered][:, j].sum()) - int(cross_cost[j]), j) for j in free]
-            gain, j = max(gains, key=lambda t: (t[0], -t[1]))
-            if gain <= 0:
+            gains = target[~covered][:, free].sum(axis=0) - cross_cost[free]
+            best = int(np.argmax(gains))     # the first maximum: ties go to the smallest word
+            if gains[best] <= 0:
                 return
+            j = free[best]
             taken[j] = code
             covered |= target[:, j] > 0
 

@@ -168,8 +168,16 @@ def train_document(corpus: LabeledCorpus, rows, subclasses, hp_template: dict,
                    reject_method: str = rejection.EVT_POT, q: float = 0.01) -> ModelDocument:
     """Fit the representation on corpus.docs[rows], train the GC and the SCs on
     those rows with the given corpus subclass ids renumbered 1..K in order, and
-    calibrate the SC thresholds: the one path from corpus rows to a model."""
+    calibrate the SC thresholds: the one path from corpus rows to a model. A given
+    subclass with no document among the rows is an EvalError naming it."""
     rows = list(rows)
+    subclasses = list(subclasses)
+    docs = [corpus.docs[i] for i in rows]
+    names = corpus.subclass_names or tuple(str(k) for k in range(1, corpus.K + 1))
+    untrained = sorted(set(subclasses) - {d.subclass for d in docs})
+    if untrained:
+        raise EvalError("no training document of seen subclass "
+                        + ", ".join(repr(names[k - 1]) for k in untrained))
     if representation == "raw":
         X = corpus.feature_matrix(rows)
         descriptor, vocab, proj = {"kind": "raw", "d": X.shape[1]}, None, None
@@ -185,16 +193,13 @@ def train_document(corpus: LabeledCorpus, rows, subclasses, hp_template: dict,
     else:
         raise EvalError(f"unknown representation {representation!r}")
 
-    subclasses = list(subclasses)
     renumber = {k: j + 1 for j, k in enumerate(subclasses)}
-    docs = [corpus.docs[i] for i in rows]
     data = bind_data(X, np.array([d.label == RARE for d in docs]),
                      np.array([renumber.get(d.subclass or 0, 0) for d in docs]))
     gram = identity_gram(X) if representation == "pca" else None    # None: fit builds (X^T X)^2, hashing X once
     hp = Hyperparams.uniform(data.K, **hp_template)
     model = trainer.fit(data, hp, cfg, gram=gram)
     thresholds = rejection.calibrate(model, data, method=reject_method, q=q)
-    names = corpus.subclass_names or tuple(str(k) for k in range(1, corpus.K + 1))
     return ModelDocument(
         version=recognizer.MODEL_VERSION, d=data.d, K=data.K, params=model.params,
         thresholds=thresholds, representation=descriptor,

@@ -12,7 +12,7 @@ from typing import Iterable
 import numpy as np
 
 from .dataset import CorpusError, atomic_write, check_features, record_text
-from .featurize import PcaProjection, TermCounts, Vocabulary, count_terms, text_features
+from .featurize import PcaProjection, TermCounts, Vocabulary, count_terms, tfidf_transform
 from .objective import ModelParams
 from .rejection import EVT_POT, PERCENTILE, RejectionThresholds, TailFit
 
@@ -158,8 +158,14 @@ class ModelDocument:
         return X
 
     def text_features(self, counts: TermCounts) -> np.ndarray:
-        """The model's text representation (featurize.text_features) of counted documents."""
-        return text_features(counts, self.vocab, self.projection)
+        """The model's text representation (featurize.text_features) of counted documents,
+        each row projected on its own: the same bits in any chunk, where one BLAS product
+        over the rows sums in an order that depends on the row count."""
+        X, proj = tfidf_transform(counts, self.vocab), self.projection
+        if proj is not None:
+            X -= proj.mean
+            X = (X[:, None, :] @ proj.components.T)[:, 0, :]
+        return X
 
 
 def predict_batch(model: ModelDocument, X: np.ndarray,

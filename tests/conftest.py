@@ -359,3 +359,29 @@ def solve_exact_by_hand(p, time_cap=None):
     sol = incumbent["sol"]
     sol.optimal = not incumbent["timed_out"]
     return sol
+
+
+def solve_greedy_by_hand(p):
+    """The per-word greedy loop solve_greedy replaced, kept as its reference:
+    each step scores every free word over a fresh masked copy of the uncovered
+    target docs, and takes the best margin, ties to the smallest word."""
+    from rareclass.coverage import _evaluate_assignment
+    taken = np.zeros(p.d, dtype=np.int8)
+
+    def grow(target, cross_cost, code):
+        covered = np.zeros(len(target), dtype=bool)
+        while True:
+            free = np.flatnonzero(taken == 0)
+            if len(free) == 0:
+                return
+            gains = [(int(target[~covered][:, j].sum()) - int(cross_cost[j]), j) for j in free]
+            gain, j = max(gains, key=lambda t: (t[0], -t[1]))
+            if gain <= 0:
+                return
+            taken[j] = code
+            covered |= target[:, j] > 0
+
+    for s in [*range(1, p.K + 1), 0]:
+        target, other = p.target(s)
+        grow(target, other.sum(axis=0), s + 1)
+    return _evaluate_assignment(p, taken)

@@ -12,7 +12,7 @@ from rareclass import cli, featurize, trainer
 from rareclass.cli import (
     EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, bench_timings, build_parser, main,
 )
-from rareclass.dataset import SyntheticConfig, gen_synthetic, load_corpus, save_corpus
+from rareclass.dataset import SyntheticConfig, gen_synthetic, load_corpus, save_corpus, split_protocol
 from rareclass.recognizer import (
     EMERGING, KNOWN, MAJORITY, Decision, load, predict_stream, save,
 )
@@ -617,6 +617,21 @@ class TestErrorsAndSeeds:
         assert rc == EXIT_DATA
         assert "seed 4: K < 2: cannot hold out" in err and "seed 5: " in err
         assert "Traceback" not in err and not out.exists()
+
+    def test_evaluate_names_a_seen_subclass_without_training_docs(self, tmp_path, capsys):
+        # one document per rare subclass: 80% of the seen one floors to no training document
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"label": "rare", "subclass": "a", "features": [1, 0]}\n'
+                          '{"label": "rare", "subclass": "b", "features": [0, 1]}\n'
+                          + '{"label": "majority", "features": [0, 0]}\n' * 3)
+        loaded = load_corpus(corpus)
+        rc = main(["evaluate", "--input", str(corpus), "--rep", "raw", "--reps", "2"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA and "Traceback" not in err
+        for seed in (0, 1):
+            (seen,) = split_protocol(loaded, seed=seed).seen_subclasses
+            name = loaded.subclass_names[seen - 1]
+            assert f"seed {seed}: no training document of seen subclass {name!r}" in err
 
     def test_evaluate_with_one_repetition_failed(self, tmp_path, capsys):
         # seed 2 keeps subclass a seen; seed 3 keeps b, whose 4 training docs are

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_program_by_hand, solve_exact_by_hand
+from conftest import build_program_by_hand, solve_exact_by_hand, solve_greedy_by_hand
 from rareclass.coverage import (
     CoverProgram, CoverageError, _evaluate_assignment, build_program, check_feasible,
     coverage_report, enumerate_exact, report_text, report_words_csv, solve_exact, solve_greedy,
@@ -168,6 +168,16 @@ class TestSolveGreedy:
             for a in range(len(sets)):
                 for b in range(a + 1, len(sets)):
                     assert not (sets[a] & sets[b])
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 14), K=st.integers(1, 4),
+           docs_per_block=st.integers(0, 7), majority_docs=st.integers(0, 7),
+           density=st.sampled_from([0.1, 0.35, 0.7]))
+    def test_matches_per_word_loop(self, seed, d, K, docs_per_block, majority_docs, density):
+        p = random_program(np.random.default_rng(seed), d=d, K=K, docs_per_block=docs_per_block,
+                           majority_docs=majority_docs, density=density)
+        assert solve_greedy(p) == solve_greedy_by_hand(p)
 
 
 class TestFeasibilityCheck:

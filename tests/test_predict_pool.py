@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import text_feature_corpus, write_integer_model
-from rareclass import cli, pool, recognizer
+from rareclass import cli, evaluation, pool, recognizer
 from rareclass.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_WORKER, main
 from rareclass.dataset import save_corpus
+from rareclass.trainer import TrainConfig
 
 TRAIN_FLAGS = ["--iters", "40", "--step", "0.003", "--mu", "1e-4", "--q", "0.05"]
 SRC = str(Path(cli.__file__).resolve().parent.parent)
@@ -87,6 +89,66 @@ class TestPoolMatchesSerial:
             rc, pooled, err = _predict(capsys, model, stream)
             assert rc == EXIT_OK and _workers(err) == (cpus if chunk < n else 1)
             assert pooled == serial
+
+
+class TestChunkFreeDecisions:
+    """A record's decision does not depend on the records that share its chunk."""
+
+    def test_pca_text_stream_same_bytes_in_any_chunk(self, mixed, tmp_path, capsys, monkeypatch):
+        model, docs = mixed["pca:4"][0], text_feature_corpus().docs
+        stream = tmp_path / "texts.jsonl"
+        stream.write_text("".join(json.dumps({"text": doc.text}) + "\n" for doc in docs))
+        outputs = {}
+        for chunk in (1, 2, 7, 50, 1024, 4096):
+            monkeypatch.setattr(cli, "PREDICT_CHUNK", chunk)
+            for cpus in (1, 2):           # 1: the line path; 2: the span path, past one chunk
+                _cpus(monkeypatch, cpus)
+                rc, outputs[chunk, cpus], _ = _predict(capsys, model, str(stream))
+                assert rc == EXIT_OK
+        assert len(outputs[1, 1].splitlines()) == len(docs)
+        assert [key for key, out in outputs.items() if out != outputs[1, 1]] == []
+
+    @pytest.mark.parametrize("rep, rank", [("tfidf", 0), ("pca", 4)])
+    def test_evaluate_decides_as_predict(self, tmp_path, capsys, monkeypatch, rep, rank):
+        corpus = text_feature_corpus()
+        routed, route = [], recognizer.predict_stream
+        monkeypatch.setattr(recognizer, "predict_stream",
+                            lambda model, X: routed.append(route(model, X)) or routed[-1])
+        _, doc, split = evaluation.run_single(
+            corpus, {"lambda0": 1.0, "lambdak": 1.0, "mu": 1e-4},
+            TrainConfig(max_iters=40, step_size=0.003, seed=5), seed=5,
+            representation=rep, pca_rank=rank, q=0.05)
+        monkeypatch.setattr(recognizer, "predict_stream", route)
+        ((decisions, _),) = routed
+        recognizer.save(doc, tmp_path / "model.json")
+        stream = tmp_path / "test.jsonl"
+        stream.write_text("".join(json.dumps({"text": corpus.docs[i].text}) + "\n"
+                                  for i in (*split.test_seen, *split.test_unseen, *split.test_majority)))
+        monkeypatch.setattr(cli, "PREDICT_CHUNK", 1)
+        _cpus(monkeypatch, 2)
+        rc, out, _ = _predict(capsys, str(tmp_path / "model.json"), str(stream))
+        assert rc == EXIT_OK
+        assert out == "".join(cli._decision_line(i, d) for i, d in enumerate(decisions))
+
+
+class TestMemoryFlatInStreamLength:
+    def test_traced_peak_of_8_chunks_is_that_of_2(self, mixed, tmp_path, capsys, monkeypatch):
+        model = mixed["pca:4"][0]
+        texts = [doc.text for doc in text_feature_corpus().docs]
+        _cpus(monkeypatch, 1)
+        peaks = {}
+        for chunks in (2, 2, 8):          # the first run also loads what predict loads lazily
+            stream = tmp_path / f"s{chunks}.jsonl"
+            stream.write_text("".join(json.dumps({"text": texts[i % len(texts)]}) + "\n"
+                                      for i in range(chunks * cli.PREDICT_CHUNK)))
+            tracemalloc.start()
+            try:
+                rc, _, _ = _predict(capsys, model, str(stream), "--out", str(tmp_path / "d.jsonl"))
+                peaks[chunks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc == EXIT_OK
+        assert abs(peaks[8] - peaks[2]) <= 0.1 * peaks[2], peaks
 
 
 def _good(n):
