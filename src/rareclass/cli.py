@@ -378,7 +378,7 @@ COMMANDS = {
 
 _DATA_ERRORS = (CorpusError, ModelDocumentError, cov.CoverageError, featurize.FeaturizeError,
                 rejection.RejectionError, evaluation.EvalError)
-_NUMERIC_ERRORS = (DivergenceError, ObjectiveError, FloatingPointError)
+_NUMERIC_ERRORS = (DivergenceError, ObjectiveError, FloatingPointError, np.linalg.LinAlgError)
 
 
 def _exit_code(exc: Exception) -> int | None:

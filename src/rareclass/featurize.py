@@ -149,10 +149,39 @@ def _release_free_heap() -> None:
     trim(ctypes.c_size_t(0))
 
 
+# LAPACKE's dsyevr (int64 integers) from the scipy-openblas that numpy's linalg extension links,
+# looked up through that extension so no library is loaded; None under another LAPACK
+try:
+    _DSYEVR = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_LAPACKE_dsyevr64_
+    _DSYEVR.restype = ctypes.c_int64
+    _DSYEVR.argtypes = [ctypes.c_int, *[ctypes.c_char] * 3, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                        *[ctypes.c_double] * 2, *[ctypes.c_int64] * 2, ctypes.c_double,
+                        ctypes.POINTER(ctypes.c_int64), *[ctypes.c_void_p] * 2, ctypes.c_int64, ctypes.c_void_p]
+except (OSError, AttributeError):
+    _DSYEVR = None
+
+
+def _top_eigh(C: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The r largest eigenvalues of the symmetric, C-contiguous C, ascending, and their eigenvectors
+    as a d x r array's columns. dsyevr reads C column-major, so LAPACKE copies nothing, and overwrites it."""
+    d = C.shape[0]
+    if C.shape != (d, d) or C.dtype != np.float64 or not (C.flags.c_contiguous and C.flags.writeable):
+        raise ValueError(f"not a square, writeable, C-contiguous float64 matrix: {C.dtype} {C.shape}")
+    if _DSYEVR is None:
+        evals, evecs = np.linalg.eigh(C)
+        return evals[d - r:], evecs[:, d - r:]
+    m, w, Z, isuppz = ctypes.c_int64(), np.empty(d), np.empty((d, r), order="F"), np.empty(2 * r, np.int64)
+    info = _DSYEVR(102, b"V", b"I", b"L", d, C.ctypes.data, d, 0.0, 0.0, d - r + 1, d, 0.0,
+                   ctypes.byref(m), w.ctypes.data, Z.ctypes.data, d, isuppz.ctypes.data)
+    if info:
+        raise np.linalg.LinAlgError(f"pca: dsyevr failed to converge (info={info})")
+    return w[:m.value], Z
+
+
 def pca_fit(X: np.ndarray, rank: int) -> PcaProjection:
-    """Top-rank eigendirections of the centered covariance (d x d eigendecomposition).
-    It holds no reference to X during eigh, so an X passed as a temporary is freed by then,
-    and the heap it and the centred copy leave is returned to the OS before eigh allocates."""
+    """Top-rank eigendirections of the centered covariance (its top-rank eigenpairs only).
+    It holds no reference to X in the eigensolver, so an X passed as a temporary is freed by
+    then, and the heap it and the centred copy leave is returned to the OS before it runs."""
     A = np.asarray(X, dtype=np.float64)
     n, d = A.shape
     if rank < 1:
@@ -160,13 +189,13 @@ def pca_fit(X: np.ndarray, rank: int) -> PcaProjection:
     if rank > min(n, d):
         raise FeaturizeError(f"rank {rank} exceeds min(n, d) = {min(n, d)}")
     mean = A.mean(axis=0)
-    C = np.empty((d, d))              # before the copy, so eigh can reuse the copy's freed space
+    C = np.empty((d, d))              # the one d x d buffer: dsyevr works in it in place
     B = A - mean
     np.matmul(B.T, B, out=C)          # one buffer on both sides: BLAS's symmetric rank-k product
     C /= max(n - 1, 1)
     del A, X, B
     _release_free_heap()
-    evals, evecs = np.linalg.eigh(C)
+    evals, evecs = _top_eigh(C, rank)
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     data_rank = int(np.sum(evals > 1e-12 * max(evals.max(initial=0.0), 1.0)))

@@ -119,6 +119,15 @@ class TestTrainPredict:
         assert rc == EXIT_NUMERIC and not out.exists()
         assert "non-finite" in capsys.readouterr().err
 
+    def test_failed_eigendecomposition_is_numeric_error(self, tmp_path, text_file, capsys, monkeypatch):
+        # a dsyevr that reports no convergence ends train with one error line, not a traceback
+        monkeypatch.setattr(featurize, "_DSYEVR", lambda *args: 3)
+        out = tmp_path / "m.json"
+        rc = main(["train", "--input", text_file, "--rep", "pca:4", "--iters", "5",
+                   "--reject", "percentile", "--out", str(out)])
+        assert rc == EXIT_NUMERIC and not out.exists()
+        assert capsys.readouterr().err.splitlines() == ["error: pca: dsyevr failed to converge (info=3)"]
+
 
 @pytest.fixture
 def integer_model(tmp_path):

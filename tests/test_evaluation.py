@@ -259,19 +259,19 @@ class TestTrainDocument:
         # matrix is gone when eigh runs; the projection is of a rebuilt one
         corpus = text_feature_corpus()
         built, alive_at_eigh = [], []
-        tfidf_transform, eigh = featurize.tfidf_transform, np.linalg.eigh
+        tfidf_transform, eigh = featurize.tfidf_transform, featurize._top_eigh
 
         def tfidf_spy(*args):
             X = tfidf_transform(*args)
             built.append(weakref.ref(X))
             return X
 
-        def eigh_spy(C):
+        def eigh_spy(C, r):
             alive_at_eigh.append(built[0]() is not None)
-            return eigh(C)
+            return eigh(C, r)
 
         monkeypatch.setattr(featurize, "tfidf_transform", tfidf_spy)
-        monkeypatch.setattr(featurize.np.linalg, "eigh", eigh_spy)
+        monkeypatch.setattr(featurize, "_top_eigh", eigh_spy)
         train_document(corpus, range(corpus.n), range(1, corpus.K + 1), HP,
                        TrainConfig(max_iters=5, step_size=0.003), representation="pca",
                        pca_rank=4, reject_method=PERCENTILE, q=0.05)
@@ -283,7 +283,7 @@ class TestTrainDocument:
         # copy are dead, so eigh's buffers are the only new pages it adds
         corpus = text_feature_corpus()
         built, centred, events = [], [], []
-        tfidf_transform, matmul, eigh = featurize.tfidf_transform, np.matmul, np.linalg.eigh
+        tfidf_transform, matmul, eigh = featurize.tfidf_transform, np.matmul, featurize._top_eigh
         release = featurize._release_free_heap
 
         def tfidf_spy(*args):
@@ -303,7 +303,7 @@ class TestTrainDocument:
         monkeypatch.setattr(featurize, "tfidf_transform", tfidf_spy)
         monkeypatch.setattr(featurize.np, "matmul", matmul_spy)
         monkeypatch.setattr(featurize, "_release_free_heap", release_spy)
-        monkeypatch.setattr(featurize.np.linalg, "eigh", lambda C: events.append("eigh") or eigh(C))
+        monkeypatch.setattr(featurize, "_top_eigh", lambda C, r: events.append("eigh") or eigh(C, r))
         train_document(corpus, range(corpus.n), range(1, corpus.K + 1), HP,
                        TrainConfig(max_iters=5, step_size=0.003), representation="pca",
                        pca_rank=4, reject_method=PERCENTILE, q=0.05)

@@ -243,7 +243,7 @@ class TestPca:
         B = A - mean
         C = B.T @ B / max(n - 1, 1)
         del B
-        evals, evecs = np.linalg.eigh(C)
+        evals, evecs = featurize._top_eigh(C, rank)
         order = np.argsort(evals)[::-1]
         evals = evals[order]
         data_rank = int(np.sum(evals > 1e-12 * max(evals.max(initial=0.0), 1.0)))
@@ -282,6 +282,65 @@ class TestPca:
         G = (Z - Z.mean(axis=0)).T @ (Z - Z.mean(axis=0))
         off = G - np.diag(np.diag(G))
         assert np.max(np.abs(off)) < 1e-6 * np.max(np.diag(G))
+
+
+def _geometric_covariance(d, seed):
+    """Q diag(2**(-8i/d)) Q^T for a random orthogonal Q: eigenvalues well apart from each other."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return Q * 2.0 ** (-8 * np.arange(d) / d) @ Q.T
+
+
+class TestTopEigh:
+    """_top_eigh (LAPACK's dsyevr for the top r eigenpairs) against the top r of
+    np.linalg.eigh, and pca_fit with dsyevr against pca_fit without it."""
+
+    @pytest.mark.parametrize("d,r", sorted({(d, r) for d in (1, 3, 8, 40, 120, 300)
+                                            for r in (1, d // 2, d) if r >= 1}))
+    def test_matches_top_of_full_eigh(self, d, r):
+        C = _geometric_covariance(d, seed=d + r)
+        evals, evecs = np.linalg.eigh(C)
+        w, Z = featurize._top_eigh(C.copy(), r)
+        assert w.shape == (r,) and Z.shape == (d, r) and Z.flags.f_contiguous
+        np.testing.assert_allclose(w, evals[d - r:], rtol=1e-12, atol=0)
+        signs = np.sign(np.sum(Z * evecs[:, d - r:], axis=0))
+        assert np.max(np.abs(Z * signs - evecs[:, d - r:])) < 1e-10
+        assert np.max(np.abs(Z.T @ Z - np.eye(r))) < 1e-12
+
+    @pytest.mark.parametrize("C", [
+        np.eye(4, dtype=np.float32), np.eye(4)[:, :3], np.eye(8)[::2, ::2],
+        np.broadcast_to(np.eye(4), (4, 4)),
+    ], ids=["float32", "not-square", "strided", "read-only"])
+    def test_refuses_what_dsyevr_cannot_take(self, C):
+        # dsyevr reads and overwrites d * d doubles from C's first address
+        with pytest.raises(ValueError, match="not a square, writeable, C-contiguous float64 matrix"):
+            featurize._top_eigh(C, 1)
+
+    def test_fallback_is_top_of_full_eigh(self, monkeypatch):
+        C = _geometric_covariance(12, seed=4)
+        evals, evecs = np.linalg.eigh(C)
+        monkeypatch.setattr(featurize, "_DSYEVR", None)
+        w, Z = featurize._top_eigh(C.copy(), 5)
+        assert w.tobytes() == evals[7:].tobytes() and Z.tobytes() == evecs[:, 7:].tobytes()
+
+    @pytest.mark.parametrize("data_rank,rank", [(0, 3), (1, 3), (3, 5), (3, 3), (4, 6)])
+    def test_pca_fit_without_dsyevr_agrees(self, monkeypatch, data_rank, rank):
+        # the cases of TestPca.test_rank_deficient_matches_centring_twice, the zero covariance among them
+        rng = np.random.default_rng(10 * data_rank + rank)
+        X = rng.standard_normal((40, data_rank)) @ rng.standard_normal((data_rank, 8)) \
+            + rng.standard_normal(8)
+        fast = pca_fit(X, rank)
+        monkeypatch.setattr(featurize, "_DSYEVR", None)
+        slow = pca_fit(X, rank)
+        assert (fast.rank, fast.truncated) == (slow.rank, slow.truncated)
+        np.testing.assert_allclose(fast.explained_variance, slow.explained_variance, rtol=1e-12, atol=0)
+        signs = np.sign(np.sum(fast.components * slow.components, axis=1))
+        assert np.max(np.abs(fast.components * signs[:, None] - slow.components)) < 1e-10
+
+    def test_same_bytes_on_a_second_fit(self):
+        X = np.random.default_rng(13).standard_normal((300, 60)) + np.arange(60)
+        first, second = pca_fit(X, rank=20), pca_fit(X, rank=20)
+        for field in ("mean", "components", "explained_variance"):
+            assert getattr(first, field).tobytes() == getattr(second, field).tobytes()
 
 
 class TestSerialization:

@@ -2,9 +2,10 @@
 so they never load the hashing library (`_hashlib`, which maps OpenSSL's
 libcrypto); `train` does, where it fingerprints X for the Gram cache. A
 full-batch `train` never samples, so it never loads `numpy.random`. Neither
-`train` nor `evaluate` loads `numpy.ma`, which `np.quantile` would. Each
-command runs in a fresh interpreter, so that the test runner's own imports
-cannot hide a load."""
+`train` nor `evaluate` loads `numpy.ma`, which `np.quantile` would. `pca_fit`'s
+LAPACK solver comes from the OpenBLAS numpy already maps, so it maps no new
+library. Each command runs in a fresh interpreter, so that the test runner's
+own imports cannot hide a load."""
 
 import json
 import os
@@ -96,3 +97,31 @@ class TestNumpyMa:
                 "--step", "0.003", "--mu", "1e-4", "--q", "0.05", "--out", str(out)]
         assert _run(argv, module="numpy.ma") == (EXIT_OK, False)
         assert not json.loads(out.read_text())["incomplete"]        # every repetition calibrated
+
+
+_MAPPED_LIBRARIES = """
+import sys
+import numpy as np
+
+def mapped():
+    with open("/proc/self/maps") as fh:
+        return {line.split()[-1] for line in fh if ".so" in line}
+
+X = np.random.default_rng(0).standard_normal((300, 40))
+before_import = mapped()
+from rareclass import featurize
+before_fit = mapped()
+featurize.pca_fit(X, rank=5)
+modules = {getattr(m, "__file__", None) for m in list(sys.modules.values())}
+print(sorted(before_fit - before_import - modules), sorted(mapped() - before_fit))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps")
+def test_pca_fit_maps_no_new_library():
+    # importing rareclass maps only Python extension modules (its LAPACK lookup goes
+    # through numpy's linalg extension), and a fit maps nothing at all
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _MAPPED_LIBRARIES], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.split() == ["[]", "[]"]
