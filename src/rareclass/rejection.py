@@ -57,7 +57,7 @@ def _gpd_moments(excesses: np.ndarray) -> tuple[float, float] | None:
         return None
     xi = 0.5 * (1.0 - mean * mean / var)
     sigma = 0.5 * mean * (mean * mean / var + 1.0)
-    if not (np.isfinite(xi) and np.isfinite(sigma)) or sigma <= 0 or xi >= 1.0:
+    if not (np.isfinite(xi) and np.isfinite(sigma)) or sigma <= 0:
         return None
     return xi, sigma
 
@@ -90,7 +90,10 @@ def _pot_lower_threshold(scores: np.ndarray, q: float) -> tuple[float, TailFit] 
     if abs(xi) < _XI_ZERO:
         t = u - sigma * np.log(n_u / (q * m))
     else:
-        t = u - sigma / xi * (ratio ** (-xi) - 1.0)
+        try:
+            t = u - sigma / xi * (ratio ** (-xi) - 1.0)
+        except OverflowError:           # a Python float power raises where numpy's gives inf
+            t = np.inf
     if not np.isfinite(t):
         return None
     return float(t), TailFit(shape=xi, scale=sigma, anchor=u)

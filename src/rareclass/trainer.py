@@ -25,8 +25,7 @@ class BatchSizeError(ValueError):
 @dataclass(frozen=True)
 class TrainConfig:
     max_iters: int = 500
-    step_size: float | None = None   # None -> 1/(lambda0 + mu*max diag of G2)
-    step_decay: str = "inv_sqrt"     # "fixed" | "inv_sqrt"
+    step_size: float | None = None   # None -> 1/(lambda0 + mu*max diag of G2); divided by sqrt(1 + t) at iteration t
     momentum: float = 0.9
     tol: float = 1e-6
     batch: int | None = None         # None -> full batch; m -> minibatch size
@@ -41,8 +40,6 @@ class TrainConfig:
             raise ValueError("tol must be > 0")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.step_decay not in ("fixed", "inv_sqrt"):
-            raise ValueError(f"unknown step_decay {self.step_decay!r}")
 
 
 @dataclass
@@ -110,7 +107,7 @@ def fit(data: BoundData, hp: Hyperparams, cfg: TrainConfig = TrainConfig(),
     iters_run = 0
 
     for it in range(cfg.max_iters):
-        eta = step0 if cfg.step_decay == "fixed" else step0 / np.sqrt(1.0 + it)
+        eta = step0 / np.sqrt(1.0 + it)
         rows = full if m is None else _batch_view(data, rng, m, rare_pos)
         g = _grad(theta + cfg.momentum * velocity, hp, gram.g2, *rows)
         velocity = cfg.momentum * velocity - eta * g

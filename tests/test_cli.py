@@ -119,6 +119,24 @@ class TestTrainPredict:
         assert rc == EXIT_NUMERIC and not out.exists()
         assert "non-finite" in capsys.readouterr().err
 
+    def test_overflowing_tail_fit_falls_back_to_percentile(self, tmp_path):
+        # four of subclass a's 20 docs lie 1e-7 apart, far below the other 16, so the
+        # tail's moment fit has a huge negative shape and its power overflows
+        rng = np.random.default_rng(0)
+        rows = [("a", x) for x in np.array([10.0, 0.0]) + 1e-3 * rng.standard_normal((16, 2))]
+        rows += [("a", x) for x in np.array([3.0, 0.0]) + 1e-7 * rng.standard_normal((4, 2))]
+        rows += [(None, x) for x in rng.standard_normal((40, 2)) - np.array([5.0, 0.0])]
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(json.dumps(
+            {"label": "majority" if name is None else "rare", "subclass": name,
+             "features": x.tolist()}) + "\n" for name, x in rows))
+        out = tmp_path / "m.json"
+        rc = main(["train", "--input", str(corpus), "--rep", "raw", "--q", "0.5",
+                   "--step", "0.01", "--mu", "0", "--out", str(out)])
+        assert rc == EXIT_OK
+        thresholds = json.loads(out.read_text())["thresholds"]
+        assert (thresholds["method"], thresholds["fallback"]) == ("evt_pot", [True])
+
     def test_failed_eigendecomposition_is_numeric_error(self, tmp_path, text_file, capsys, monkeypatch):
         # a dsyevr that reports no convergence ends train with one error line, not a traceback
         monkeypatch.setattr(featurize, "_DSYEVR", lambda *args: 3)

@@ -62,8 +62,9 @@ def _load_error(path):
 
 class TestSameCorpus:
     def test_docs_and_subclasses(self, corpus_file, small_chunks, monkeypatch):
-        assert len(list(pool.chunked(dataset.read_lines(corpus_file), 3000,
-                                     weight=lambda pair: len(pair[1])))) >= 5
+        with open(corpus_file, encoding="utf-8") as fh:
+            assert len(list(pool.chunked(dataset._non_blank(fh, corpus_file), 3000,
+                                         weight=lambda pair: len(pair[1])))) >= 5
         serial, pooled = _both(monkeypatch, lambda: load_corpus(corpus_file))
         assert (pooled.K, pooled.subclass_names, pooled.lines) == \
                (serial.K, serial.subclass_names, serial.lines)

@@ -227,7 +227,7 @@ class TestRunExperiment:
     def test_failed_rep_reported(self):
         corpus = synth_corpus()
         # a divergent step size fails every repetition
-        cfg = TrainConfig(max_iters=500, step_size=1e9, step_decay="fixed", seed=0)
+        cfg = TrainConfig(max_iters=500, step_size=1e9, seed=0)
         report = run_experiment(corpus, {"mu": 1.0}, cfg, repetitions=2)
         assert report.incomplete
         assert len(report.errors) == 2

@@ -77,6 +77,18 @@ class TestEvtPot:
         with pytest.raises(RejectionError, match="samples"):
             calibrate_scores([np.arange(7.0)], method=EVT_POT)
 
+    @pytest.mark.parametrize("scores, q", [
+        ([0.0] * 3 + [5.0] * 17, 0.01),                 # the excesses are equal: no variance
+        ([-1e160, -1e160 * (1 + 1e-10), -1e160 * (1 + 2e-10)] + [0.0] * 17, 0.01),  # mean**2 overflows
+        ([0.0, 1e-9, 2e-9, 3e-9] + [1.0] * 16, 0.9),    # the tail's power overflows
+    ], ids=["equal-excesses", "non-finite-moments", "power-overflow"])
+    def test_degenerate_tail_falls_back_to_percentile(self, scores, q):
+        scores = np.array(scores)
+        th = calibrate_scores([scores], method=EVT_POT, q=q)
+        assert th.fallback == (True,)
+        assert th.fitted_tail_params == (None,)
+        assert th.t[0] == rejection._quantile(scores, q)
+
     def test_exponential_tail_shape_and_coverage(self):
         # scores with an exact exponential lower tail: GPD shape should be
         # near zero and the q=0.01 cutoff should reject about 1% of a fresh draw

@@ -82,7 +82,7 @@ class TestFit:
         data = synthetic_bound_data(seed=6)
         hp = Hyperparams.uniform(2, mu=0.0)
         with pytest.raises(DivergenceError):
-            fit(data, hp, TrainConfig(max_iters=2000, step_size=1e4, step_decay="fixed"))
+            fit(data, hp, TrainConfig(max_iters=2000, step_size=1e4))
 
     @pytest.mark.parametrize("at", [0, 3])
     def test_nan_loss_is_divergence(self, monkeypatch, at):
@@ -259,5 +259,3 @@ class TestConfigValidation:
             TrainConfig(tol=0.0)
         with pytest.raises(ValueError):
             TrainConfig(momentum=1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(step_decay="linear")
