@@ -397,7 +397,6 @@ def split_protocol(corpus: LabeledCorpus, seed: int) -> SplitResult:
         raise CorpusError("K < 2: cannot hold out an unseen subclass")
     rng = np.random.default_rng(seed)
     n_seen = int(np.floor(SEEN_FRACTION * corpus.K))
-    n_seen = min(max(n_seen, 1), corpus.K - 1)  # always >=1 seen and >=1 unseen
     perm = rng.permutation(corpus.K) + 1
     seen = frozenset(int(k) for k in perm[:n_seen])
     unseen = frozenset(int(k) for k in perm[n_seen:])

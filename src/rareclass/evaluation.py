@@ -30,13 +30,9 @@ class ConfusionTable:
     majority: np.ndarray
 
     def __post_init__(self):
-        for row in self.rows().values():
+        for row in (self.known_correct, self.known_wrong, self.emerging, self.majority):
             if np.any(np.asarray(row) < 0):
                 raise EvalError("negative confusion counts")
-
-    def rows(self) -> dict[str, np.ndarray]:
-        return {"known_correct": self.known_correct, "known_wrong": self.known_wrong,
-                "emerging": self.emerging, "majority": self.majority}
 
     def column_totals(self) -> np.ndarray:
         return self.known_correct + self.known_wrong + self.emerging + self.majority
@@ -75,17 +71,18 @@ def confusion_table(decisions: list[Decision], split: SplitResult,
 
 
 def top_level_metrics(decisions: list[Decision], split: SplitResult) -> dict[str, float | None]:
-    """Precision/recall/F1 of the rare-vs-majority decision, with seen/unseen splits.
+    """Precision/recall/F1 of the rare-vs-majority decision, with seen/unseen splits (_rates)."""
+    return _rates(confusion_table(decisions, split, {}))
 
-    A doc counts as predicted-rare when its verdict is not Majority. Undefined
-    precision (nothing predicted rare) is reported as None, as is F1.
-    """
-    table = confusion_table(decisions, split, {})
-    n_seen = len(split.test_seen)
-    n_unseen = len(split.test_unseen)
+
+def _rates(table: ConfusionTable) -> dict[str, float | None]:
+    """top_level_metrics from a table's columns. A doc counts as predicted-rare when its verdict
+    is not Majority, so subclass_of does not change them. Undefined precision (nothing
+    predicted rare) is reported as None, as is F1."""
+    n_seen, n_unseen, _ = table.column_totals().astype(int).tolist()
     n_rare = n_seen + n_unseen
     # predicted rare per true column: (seen, unseen, majority)
-    tp_seen, tp_unseen, fp = (int(c) for c in table.column_totals() - table.majority)
+    tp_seen, tp_unseen, fp = (table.column_totals() - table.majority).astype(int).tolist()
     tp = tp_seen + tp_unseen
     n_pred = tp + fp
 
@@ -190,7 +187,8 @@ def train_document(corpus: LabeledCorpus, rows, subclasses, hp_template: dict,
             proj = featurize.pca_fit(featurize.tfidf_transform(counts, vocab),
                                      rank=min(pca_rank, len(counts), vocab.d))
             descriptor = {"kind": "pca", "rank": proj.rank}
-        X = featurize.text_features(counts, vocab, proj)
+        X = featurize.tfidf_transform(counts, vocab)
+        X = X if proj is None else featurize.pca_transform(X, proj)
     else:
         raise EvalError(f"unknown representation {representation!r}")
 
@@ -209,25 +207,20 @@ def train_document(corpus: LabeledCorpus, rows, subclasses, hp_template: dict,
 
 
 def run_single(corpus: LabeledCorpus, hp_template: dict, cfg: trainer.TrainConfig,
-               seed: int, representation: str = "raw", pca_rank: int = 0,
-               reject_method: str = rejection.EVT_POT,
-               q: float = 0.01) -> tuple[dict, ModelDocument, SplitResult]:
-    """One repetition: split -> train_document -> predict the test docs -> metrics."""
+               seed: int, **training) -> tuple[dict, ModelDocument, SplitResult]:
+    """One repetition: split -> train_document(**training) -> predict the test docs
+    -> the metrics, all read from one confusion table."""
     split = split_protocol(corpus, seed=seed)
     seen_sorted = sorted(split.seen_subclasses)
-    doc = train_document(corpus, split.train, seen_sorted, hp_template, cfg,
-                         representation=representation, pca_rank=pca_rank,
-                         reject_method=reject_method, q=q)
+    doc = train_document(corpus, split.train, seen_sorted, hp_template, cfg, **training)
     test_order = list(split.test_seen) + list(split.test_unseen) + list(split.test_majority)
     Xte = (corpus.feature_matrix(test_order) if doc.vocab is None
            else doc.text_features(corpus.term_counts.rows(test_order)))
     decisions, _ = recognizer.predict_stream(doc, Xte)
-    metrics = top_level_metrics(decisions, split)
     remap = {k: j + 1 for j, k in enumerate(seen_sorted)}
-    subclass_of = {i: remap[corpus.docs[i].subclass] for i in split.test_seen}
-    table = confusion_table(decisions, split, subclass_of)
-    metrics["acc_rare"] = acc_rare(table)
-    return metrics, doc, split
+    table = confusion_table(decisions, split,
+                            {i: remap[corpus.docs[i].subclass] for i in split.test_seen})
+    return {**_rates(table), "acc_rare": acc_rare(table)}, doc, split
 
 
 def run_experiment(corpus: LabeledCorpus, hp_template: dict, cfg: trainer.TrainConfig,

@@ -209,8 +209,3 @@ def pca_fit(X: np.ndarray, rank: int) -> PcaProjection:
 def pca_transform(X: np.ndarray, proj: PcaProjection) -> np.ndarray:
     return (np.asarray(X, dtype=np.float64) - proj.mean) @ proj.components.T
 
-
-def text_features(counts: TermCounts, vocab: Vocabulary, proj: PcaProjection | None = None) -> np.ndarray:
-    """tf-idf of counted documents, then the PCA projection when one is given."""
-    X = tfidf_transform(counts, vocab)
-    return X if proj is None else pca_transform(X, proj)

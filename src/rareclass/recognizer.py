@@ -34,10 +34,8 @@ class Decision:
     gc_score: float
     sc_scores: np.ndarray | None     # present iff verdict != Majority
 
-    def to_json(self, index: int | None = None) -> dict:
-        rec = {"verdict": self.verdict, "gc_score": self.gc_score}
-        if index is not None:
-            rec = {"index": index, **rec}
+    def to_json(self, index: int) -> dict:
+        rec = {"index": index, "verdict": self.verdict, "gc_score": self.gc_score}
         if self.verdict == KNOWN:
             rec["subclass"] = self.subclass
         return rec
@@ -158,7 +156,7 @@ class ModelDocument:
         return X
 
     def text_features(self, counts: TermCounts) -> np.ndarray:
-        """The model's text representation (featurize.text_features) of counted documents,
+        """The model's text representation (tf-idf, then the projection) of counted documents,
         each row projected on its own: the same bits in any chunk, where one BLAS product
         over the rows sums in an order that depends on the row count."""
         X, proj = tfidf_transform(counts, self.vocab), self.projection

@@ -52,7 +52,7 @@ class RejectionThresholds:
 def _gpd_moments(excesses: np.ndarray) -> tuple[float, float] | None:
     """Method-of-moments GPD fit; None when the sample is degenerate."""
     mean = float(np.mean(excesses))
-    var = float(np.var(excesses, ddof=1)) if len(excesses) > 1 else 0.0
+    var = float(np.var(excesses, ddof=1))
     if mean <= 0 or var <= 0:
         return None
     xi = 0.5 * (1.0 - mean * mean / var)
@@ -123,7 +123,7 @@ def calibrate_scores(per_subclass_scores: list[np.ndarray], method: str = EVT_PO
                                fitted_tail_params=tuple(tails), fallback=tuple(fallback))
 
 
-def calibrate(model, data, method: str = EVT_POT, q: float = 0.01) -> RejectionThresholds:
+def calibrate(model, data, method: str, q: float) -> RejectionThresholds:
     """Score each subclass's own training members with its SC and calibrate thresholds."""
     params = model.params
     per_k = []

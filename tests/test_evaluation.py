@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import run_single_by_hand, text_feature_corpus, train_by_hand
-from rareclass import featurize, objective
+from rareclass import evaluation, featurize, objective
 from rareclass.dataset import SplitResult, SyntheticConfig, gen_synthetic
 from rareclass.evaluation import (
     ConfusionTable, EvalError, acc_rare, aggregate, confusion_table,
@@ -231,6 +231,20 @@ class TestRunExperiment:
         report = run_experiment(corpus, {"mu": 1.0}, cfg, repetitions=2)
         assert report.incomplete
         assert len(report.errors) == 2
+
+    def test_each_repetition_builds_one_confusion_table(self, monkeypatch):
+        calls = []
+        table = evaluation.confusion_table
+        monkeypatch.setattr(evaluation, "confusion_table", lambda *a: calls.append(a) or table(*a))
+        report = run_experiment(synth_corpus(), {"mu": 1.0}, TrainConfig(max_iters=60, seed=0),
+                                repetitions=2)
+        assert len(report.per_seed) == 2 and not report.errors
+        assert len(calls) == 2
+
+    def test_run_single_rejects_an_unknown_training_keyword(self):
+        # run_single forwards its keywords to train_document, which names each one
+        with pytest.raises(TypeError, match="pca_ranks"):
+            run_single(synth_corpus(), {"mu": 1.0}, TrainConfig(max_iters=10, seed=0), 0, pca_ranks=4)
 
 
 # (representation, pca rank): every kind a model document can carry
