@@ -18,9 +18,10 @@ from . import coverage as cov
 from . import evaluation, featurize, pool, recognizer, rejection, trainer
 from .dataset import (CorpusError, RARE, SyntheticConfig, atomic_open, atomic_write,
                       gen_synthetic, load_corpus, map_lines, parse_line, save_corpus)
-from .objective import Hyperparams, ObjectiveError, bind_data
+from .errors import DataError, NumericError, UsageError
+from .objective import Hyperparams, bind_data
 from .recognizer import KNOWN, Decision, ModelDocument, ModelDocumentError
-from .trainer import BatchSizeError, DivergenceError, TrainConfig
+from .trainer import TrainConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -29,10 +30,6 @@ EXIT_NUMERIC = 3
 EXIT_WORKER = 4
 EXIT_INTERRUPT = 130    # 128 + SIGINT, what a shell reports for a program Ctrl-C ends
 EXIT_PIPE = 141         # 128 + SIGPIPE, what a shell reports for a program the signal ends
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _dumps(obj, **kwargs) -> str:
@@ -259,11 +256,8 @@ def cmd_evaluate(args) -> int:
                                        config_echo=_effective_config(args), **_training(args))
     if report.first_error is not None and not report.per_seed:
         # every repetition failed: no report, and the first failure's exit code
-        code = _exit_code(report.first_error)
-        if code is None:
-            raise report.first_error
         print(f"error: every repetition failed: {'; '.join(report.errors)}", file=sys.stderr)
-        return code
+        return _exit_code(report.first_error)
     payload = _dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     if args.out:
         atomic_write(args.out, payload)
@@ -376,18 +370,13 @@ COMMANDS = {
 }
 
 
-_DATA_ERRORS = (CorpusError, ModelDocumentError, cov.CoverageError, featurize.FeaturizeError,
-                rejection.RejectionError, evaluation.EvalError)
-_NUMERIC_ERRORS = (DivergenceError, ObjectiveError, FloatingPointError, np.linalg.LinAlgError)
-
-
 def _exit_code(exc: Exception) -> int | None:
     """The documented exit code of an error, or None for an unexpected one."""
-    if isinstance(exc, (UsageError, BatchSizeError)):
+    if isinstance(exc, UsageError):
         return EXIT_USAGE
-    if isinstance(exc, _DATA_ERRORS) or isinstance(exc, OSError) and exc.filename is not None:
+    if isinstance(exc, DataError) or isinstance(exc, OSError) and exc.filename is not None:
         return EXIT_DATA                    # an OSError with a file name: a path that cannot be used
-    if isinstance(exc, _NUMERIC_ERRORS):
+    if isinstance(exc, (NumericError, FloatingPointError, np.linalg.LinAlgError)):
         return EXIT_NUMERIC
     if isinstance(exc, pool.WorkerDied):
         return EXIT_WORKER

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledCorpus
+from .errors import DataError
 from .featurize import Vocabulary
 
 EXACT_MAX_WORDS = 20
 EXACT_MAX_DOCS = 40
 
 
-class CoverageError(ValueError):
+class CoverageError(DataError):
     pass
 
 
@@ -110,10 +111,6 @@ def _evaluate_assignment(p: CoverProgram, assign: np.ndarray) -> CoverSolution:
         objective=int(np.count_nonzero(assign)) + o + alpha + beta, optimal=False)
 
 
-class _TimedOut(Exception):
-    pass
-
-
 def _bits(col: np.ndarray) -> int:
     """The rows where col is nonzero, as the set bits of an int."""
     return sum(1 << i for i in np.flatnonzero(col).tolist())
@@ -156,7 +153,7 @@ def solve_exact(p: CoverProgram, time_cap: float | None = None) -> CoverSolution
     def dfs(j: int, covered: int, cost: int) -> None:
         nonlocal best_obj, best_assign
         if time_cap is not None and time.monotonic() - start > time_cap:
-            raise _TimedOut
+            raise TimeoutError
         bound = cost + (unreach[j] & ~covered).bit_count()
         if bound >= best_obj:
             return
@@ -173,7 +170,7 @@ def solve_exact(p: CoverProgram, time_cap: float | None = None) -> CoverSolution
     try:
         dfs(0, 0, 0)
         timed_out = False
-    except _TimedOut:
+    except TimeoutError:
         timed_out = True
     # with no incumbent (timed out at once) the all-unused assignment is always feasible
     sol = _evaluate_assignment(p, np.array(best_assign or [0] * d, dtype=np.int8))

@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import pool
+from .errors import DataError
 from .featurize import TermCounts, count_terms
 
 RARE = "rare"
@@ -24,7 +25,7 @@ SEEN_FRACTION = 2.0 / 3.0   # of the subclasses that a split keeps seen
 TRAIN_FRACTION = 0.8        # of each seen subclass, and of the majority, that a split trains on
 
 
-class CorpusError(ValueError):
+class CorpusError(DataError):
     """Raised when a corpus file or record violates the data contract."""
 
 

@@ -3,12 +3,13 @@ split/train/calibrate/predict experiment protocol."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import featurize, recognizer, rejection, trainer
 from .dataset import RARE, LabeledCorpus, SplitResult, split_protocol
+from .errors import DataError, NumericError, UsageError
 from .objective import Hyperparams, bind_data, identity_gram
 from .recognizer import EMERGING, MAJORITY, Decision, ModelDocument
 
@@ -16,7 +17,7 @@ METRIC_NAMES = ("precision", "recall", "f1", "precision_seen",
                 "recall_seen", "recall_unseen", "acc_rare")
 
 
-class EvalError(ValueError):
+class EvalError(DataError):
     pass
 
 
@@ -123,15 +124,7 @@ class MetricReport:
     first_error: Exception | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
-        return {
-            "seeds": self.seeds,
-            "per_seed": self.per_seed,
-            "mean": self.mean,
-            "sd": self.sd,
-            "incomplete": self.incomplete,
-            "errors": self.errors,
-            "config": self.config,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "first_error"}
 
     def to_text(self) -> str:
         lines = [f"{'metric':<16}{'mean':>10}{'sd':>10}"]
@@ -224,22 +217,20 @@ def run_single(corpus: LabeledCorpus, hp_template: dict, cfg: trainer.TrainConfi
 
 
 def run_experiment(corpus: LabeledCorpus, hp_template: dict, cfg: trainer.TrainConfig,
-                   repetitions: int = 5, base_seed: int = 0,
-                   representation: str = "raw", pca_rank: int = 0,
-                   reject_method: str = rejection.EVT_POT, q: float = 0.01,
-                   config_echo: dict | None = None) -> MetricReport:
-    """The repeated-split protocol: seeds base_seed+0..+(repetitions-1), mean +- sample sd."""
+                   repetitions: int = 5, base_seed: int = 0, config_echo: dict | None = None,
+                   **training) -> MetricReport:
+    """The repeated-split protocol: seeds base_seed+0..+(repetitions-1), mean +- sample sd.
+    `training` (representation, pca_rank, reject_method, q) goes on to train_document. A
+    repetition that raises a documented error (exit 1-3) is recorded as failed; others propagate."""
     per_seed: list[dict] = []
     errors: list[str] = []
     first_error = None
     seeds = [base_seed + i for i in range(repetitions)]
     for seed in seeds:
         try:
-            metrics, _, _ = run_single(
-                corpus, hp_template, cfg, seed, representation=representation,
-                pca_rank=pca_rank, reject_method=reject_method, q=q)
-            per_seed.append(metrics)
-        except Exception as exc:  # a failed repetition marks the report incomplete
+            per_seed.append(run_single(corpus, hp_template, cfg, seed, **training)[0])
+        except (UsageError, DataError, NumericError, np.linalg.LinAlgError) as exc:
+            # LinAlgError, from featurize's eigensolver, is the one numeric error not rareclass's
             errors.append(f"seed {seed}: {exc}")
             first_error = first_error or exc
     report = aggregate(per_seed, seeds, errors, config=config_echo)

@@ -10,10 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
+
 _TOKEN_RE = re.compile(r"[a-zÀ-ɏ]{2,}")
 
 
-class FeaturizeError(ValueError):
+class FeaturizeError(DataError):
     pass
 
 

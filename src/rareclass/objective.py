@@ -7,8 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
 
-class ObjectiveError(ValueError):
+
+class ObjectiveError(NumericError, ValueError):
     pass
 
 

@@ -12,6 +12,7 @@ from typing import Iterable
 import numpy as np
 
 from .dataset import CorpusError, atomic_write, check_features, record_text
+from .errors import DataError
 from .featurize import PcaProjection, TermCounts, Vocabulary, count_terms, tfidf_transform
 from .objective import ModelParams
 from .rejection import EVT_POT, PERCENTILE, RejectionThresholds, TailFit
@@ -23,7 +24,7 @@ EMERGING = "Emerging"
 MODEL_VERSION = 1
 
 
-class ModelDocumentError(ValueError):
+class ModelDocumentError(DataError):
     pass
 
 

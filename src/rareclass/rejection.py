@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
+
 EVT_POT = "evt_pot"
 PERCENTILE = "percentile"
 
@@ -15,7 +17,7 @@ MIN_SAMPLES = {EVT_POT: 8, PERCENTILE: 2}
 _XI_ZERO = 1e-6
 
 
-class RejectionError(ValueError):
+class RejectionError(DataError):
     pass
 
 

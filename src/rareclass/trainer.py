@@ -8,17 +8,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError, UsageError
 from .objective import (
     BoundData, GramCache, Hyperparams, ModelParams, ObjectiveError, _grad, _loss,
     gram_squared,
 )
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(NumericError, RuntimeError):
     """Loss exploded past the divergence guard, or is not finite."""
 
 
-class BatchSizeError(ValueError):
+class BatchSizeError(UsageError):
     """A minibatch larger than the training set: a usage error, not a fault in the data."""
 
 

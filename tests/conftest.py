@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rareclass import trainer
 from rareclass.dataset import Doc, LabeledCorpus, MAJORITY, RARE
 from rareclass.objective import BoundData, ModelParams, bind_data
 from rareclass.recognizer import ModelDocument, save
@@ -19,6 +20,21 @@ def make_instance(rng, n=12, d=4, K=2, rare_frac=0.5):
         if not np.any(subs[:n0] == k):
             subs[k - 1] = k
     return bind_data(X, rare, subs)
+
+
+@pytest.fixture
+def second_fit_fails(monkeypatch):
+    """trainer.fit raising a TypeError, as a bug would, on its second call; the calls made."""
+    fit, calls = trainer.fit, []
+
+    def fit_or_fail(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise TypeError("a bug, not bad data")
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "fit", fit_or_fail)
+    return calls
 
 
 def params_off_kink(rng, data, margin_gap=0.05, max_tries=200):

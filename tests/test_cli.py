@@ -187,6 +187,10 @@ class TestDecisionLine:
         with pytest.raises(FloatingPointError, match="non-finite"):
             cli._decision_line(0, Decision(EMERGING, None, gc, None))
 
+    def test_dumps_refuses_a_non_finite_value(self):
+        with pytest.raises(FloatingPointError, match="cannot write non-finite value as JSON"):
+            cli._dumps({"x": float("nan")})
+
 
 class TestPredictStreaming:
     @pytest.mark.parametrize("bad, message", [
@@ -677,6 +681,14 @@ class TestErrorsAndSeeds:
         report = json.loads(out.read_text())
         assert report["incomplete"] and len(report["per_seed"]) == 1
         assert report["errors"] == ["seed 3: subclass 1: 4 samples < 8 required for evt_pot"]
+
+    def test_evaluate_lets_a_bug_in_one_repetition_through(self, synth_file, tmp_path, second_fit_fails):
+        # a TypeError is no documented failure: no report, and the error itself, not exit 0
+        out = tmp_path / "r.json"
+        with pytest.raises(TypeError, match="a bug, not bad data"):
+            main(["evaluate", "--input", synth_file, "--rep", "raw", "--reps", "3", "--iters", "40",
+                  "--reject", "percentile", "--out", str(out)])
+        assert len(second_fit_fails) == 2 and not out.exists()
 
     def test_bad_rep_is_usage_error(self, synth_file, tmp_path):
         rc = main(["train", "--input", synth_file, "--rep", "wavelet",

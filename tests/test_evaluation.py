@@ -246,6 +246,18 @@ class TestRunExperiment:
         with pytest.raises(TypeError, match="pca_ranks"):
             run_single(synth_corpus(), {"mu": 1.0}, TrainConfig(max_iters=10, seed=0), 0, pca_ranks=4)
 
+    def test_run_experiment_rejects_an_unknown_training_keyword(self):
+        # forwarded through run_single; a TypeError is no failed repetition
+        with pytest.raises(TypeError, match="pca_ranks"):
+            run_experiment(synth_corpus(), {"mu": 1.0}, TrainConfig(max_iters=10, seed=0), pca_ranks=4)
+
+    def test_a_bug_in_one_repetition_propagates(self, second_fit_fails):
+        # only a documented error (exit 1, 2 or 3) marks a repetition failed
+        with pytest.raises(TypeError, match="a bug, not bad data"):
+            run_experiment(synth_corpus(), {"mu": 1.0}, TrainConfig(max_iters=60, seed=0),
+                           repetitions=3)
+        assert len(second_fit_fails) == 2
+
 
 # (representation, pca rank): every kind a model document can carry
 REPRESENTATIONS = [("raw", 0), ("tfidf", 0), ("pca", 4)]

@@ -270,6 +270,10 @@ class TestModelDocument:
         Xf = model.featurize([{"features": [0.0] * vocab.d}])
         assert Xf.shape == (1, vocab.d)
 
+    def test_featurize_refuses_ragged_features(self, gate_model):
+        with pytest.raises(ModelDocumentError, match="malformed 'features' record"):
+            gate_model.featurize([{"features": [1.0, 2.0]}, {"features": [1.0]}])
+
     def test_raw_model_requires_features(self, gate_model):
         with pytest.raises(ModelDocumentError, match="features"):
             gate_model.featurize([{"text": "hello"}])
