@@ -175,13 +175,15 @@ def train_document(corpus: LabeledCorpus, rows, subclasses, hp_template: dict,
         counts = corpus.term_counts.rows(rows)
         vocab = featurize.build_vocab(counts, top_n=1000)         # the 1k of --rep tfidf1k
         descriptor, proj = {"kind": "tfidf"}, None
-        if representation == "pca":   # tf-idf as a temporary, freed before the eigensolver, rebuilt below;
-            # kept for the np.linalg.eigh fallback: one live build (and no trim) peaked at ~116 MB, not ~89
-            proj = featurize.pca_fit(featurize.tfidf_transform(counts, vocab),
-                                     rank=min(pca_rank, len(counts), vocab.d))
+        if representation == "pca":   # tf-idf as a temporary, centred in place and freed before the
+            # eigensolver, rebuilt below: the np.linalg.eigh fallback's 32 MB would sit above a live one
+            proj = featurize.pca_fit_in_place(featurize.tfidf_transform(counts, vocab),
+                                              rank=min(pca_rank, len(counts), vocab.d))
             descriptor = {"kind": "pca", "rank": proj.rank}
         X = featurize.tfidf_transform(counts, vocab)
-        X = X if proj is None else featurize.pca_transform(X, proj)
+        if proj is not None:          # pca_transform's bits, centring this matrix and not a copy
+            X -= proj.mean
+            X = X @ proj.components.T
     else:
         raise EvalError(f"unknown representation {representation!r}")
 

@@ -621,6 +621,15 @@ class TestErrorsAndSeeds:
         rc = main(["train", "--input", str(f), "--out", str(tmp_path / "m.json")])
         assert rc == EXIT_DATA
 
+    def test_majority_only_corpus_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "majority.jsonl"
+        corpus.write_text('{"label": "majority", "text": "quiet day in town"}\n' * 3)
+        out = tmp_path / "m.json"
+        rc = main(["train", "--input", str(corpus), "--out", str(out)])
+        assert rc == EXIT_DATA and not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: corpus must contain at least one rare subclass"]
+
     def test_divergence_is_numeric_error(self, synth_file, tmp_path):
         rc = main(["train", "--input", synth_file, "--rep", "raw",
                    "--iters", "2000", "--step", "1e9",

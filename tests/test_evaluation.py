@@ -336,6 +336,37 @@ class TestTrainDocument:
         assert events == [("release", True, True), "eigh"]
         assert len(centred) == 1
 
+    def test_pca_centres_each_tfidf_matrix_in_place(self, monkeypatch):
+        # the covariance product reads the tf-idf temporary itself, and the projection's
+        # product the rebuilt matrix itself: neither is a centred copy
+        corpus = text_feature_corpus()
+        built, covariance_operands, projection_operands = [], [], []
+        tfidf_transform, matmul = featurize.tfidf_transform, np.matmul
+
+        class Rebuilt(np.ndarray):
+            def __matmul__(self, other):
+                projection_operands.append(self)
+                return np.asarray(self) @ other
+
+        def tfidf_spy(*args):
+            X = tfidf_transform(*args)
+            built.append(X)
+            return X.view(Rebuilt) if len(built) == 2 else X
+
+        def matmul_spy(a, b, **kw):
+            if "out" in kw:                       # the covariance product
+                covariance_operands.append(np.shares_memory(b, built[0]))
+            return matmul(a, b, **kw)
+
+        monkeypatch.setattr(featurize, "tfidf_transform", tfidf_spy)
+        monkeypatch.setattr(featurize.np, "matmul", matmul_spy)
+        train_document(corpus, range(corpus.n), range(1, corpus.K + 1), HP,
+                       TrainConfig(max_iters=5, step_size=0.003), representation="pca",
+                       pca_rank=4, reject_method=PERCENTILE, q=0.05)
+        assert covariance_operands == [True]
+        assert len(built) == 2 and len(projection_operands) == 1
+        assert np.shares_memory(projection_operands[0], built[1])
+
     @pytest.mark.parametrize("rep, rank, fingerprints", [("raw", 0, 1), ("tfidf", 0, 1), ("pca", 4, 2)])
     def test_x_fingerprinted_once_unless_the_gram_is_given(self, monkeypatch, rep, rank, fingerprints):
         # raw and tfidf leave the squared Gram to fit, which hashes X as it

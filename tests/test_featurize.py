@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import build_vocab_by_hand, tfidf_by_hand
 from rareclass import featurize
 from rareclass.featurize import (
-    FeaturizeError, TermCounts, build_vocab, count_terms, pca_fit,
+    FeaturizeError, TermCounts, Vocabulary, build_vocab, count_terms, pca_fit,
     pca_transform, tfidf_transform, tokenize,
 )
 from rareclass.recognizer import PROJECTION_JSON, VOCABULARY_JSON, ModelDocumentError, model_json
@@ -60,6 +60,25 @@ class TestBuildVocab:
     def test_empty_vocabulary_error(self):
         with pytest.raises(FeaturizeError, match="empty"):
             build_vocab(["123 !!!"])
+
+    @pytest.mark.parametrize("docs, top_n, message", [
+        ([], 10, "empty training set"),
+        (["aa bb"], 0, "top_n must be >= 1"),
+    ])
+    def test_refuses_bad_arguments(self, docs, top_n, message):
+        with pytest.raises(FeaturizeError, match=message):
+            build_vocab(docs, top_n=top_n)
+
+
+class TestVocabulary:
+    @pytest.mark.parametrize("terms, df, message", [
+        (("aa", "bb", "aa"), (1, 1, 1), "duplicate terms in vocabulary"),
+        (("aa", "bb"), (0, 1), "df out of range for term 'aa'"),
+        (("bb", "aa"), (1, 3), "df out of range for term 'aa'"),
+    ])
+    def test_refuses_inconsistent_fields(self, terms, df, message):
+        with pytest.raises(FeaturizeError, match=re.escape(message)):
+            Vocabulary(terms=terms, df=df, n_docs_fitted=2)
 
 
 class TestTfidf:
@@ -127,8 +146,10 @@ class TestPca:
     def test_full_rank_roundtrip(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((30, 4))
+        before = X.tobytes()
         proj = pca_fit(X, rank=4)
         Z = pca_transform(X, proj)
+        assert X.tobytes() == before          # neither centres its caller's array
         back = Z @ proj.components + proj.mean
         assert np.allclose(back, X, atol=1e-6)
 
