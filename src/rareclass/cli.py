@@ -16,7 +16,7 @@ import numpy as np
 
 from . import coverage as cov
 from . import evaluation, featurize, pool, recognizer, rejection, trainer
-from .dataset import (CorpusError, RARE, SyntheticConfig, atomic_open, atomic_write,
+from .dataset import (CorpusError, RARE, SyntheticConfig, atomic_open, atomic_write, decode_json,
                       gen_synthetic, load_corpus, map_lines, parse_line, save_corpus)
 from .errors import DataError, NumericError, UsageError
 from .objective import Hyperparams, bind_data
@@ -164,8 +164,8 @@ def _config_tokens(path: str) -> list[str]:
     """The config file's entries as `--key=value` flags, for the parser to check like any other."""
     try:
         with open(path, encoding="utf-8") as fh:
-            conf = json.load(fh)
-    except (OSError, ValueError) as exc:            # unreadable, or not JSON
+            conf = decode_json(fh.read())
+    except (OSError, ValueError) as exc:            # unreadable, not JSON, or a repeated key
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(conf, dict):
         raise UsageError(f"config file {path} is not a JSON object")
@@ -208,12 +208,9 @@ PREDICT_CHUNK = 1024
 
 def _chunk_features(model: ModelDocument, chunk: list[tuple[int, str]]) -> np.ndarray:
     """Parse, check and featurize one chunk: the (n, d) array predict routes.
-    A bad record is an error naming its line in the input file. Each line is
-    dropped from the chunk once parsed, so the chunk does not hold it."""
+    A bad record is an error naming its line in the input file."""
     records = []
-    chunk.reverse()
-    while chunk:
-        lineno, line = chunk.pop()
+    for lineno, line in chunk:
         rec = parse_line(lineno, line)
         try:
             model.check_record(rec)
@@ -329,8 +326,8 @@ def bench_timings(n: int, d: int, K: int, iters: int, mu: float, seed: int) -> l
     proc = subprocess.run([sys.executable, "-c", _BENCH_CHILD],
                           input=pickle.dumps((n, d, K, iters, mu, seed)),
                           stdout=subprocess.PIPE, env=env)
-    if proc.returncode != 0:
-        raise RuntimeError(f"bench child exited with status {proc.returncode}")
+    if proc.returncode != 0:                        # killed, say, for memory: exit 4, as a pool worker
+        raise pool.WorkerDied(f"bench child exited with status {proc.returncode}")
     # the child pickles its timings, or the exception it raised, for this process
     result = pickle.loads(proc.stdout)
     if isinstance(result, Exception):

@@ -83,14 +83,9 @@ def build_program(corpus: LabeledCorpus, vocab: Vocabulary) -> CoverProgram:
     row, col, _ = corpus.term_counts.entries(vocab)
     occurs = np.zeros((corpus.n, vocab.d), dtype=np.int8)
     occurs[row, col] = 1
-    blocks = []
-    for k in range(1, corpus.K + 1):
-        members = corpus.subclass_indices(k)
-        if not members:
-            raise CoverageError(f"subclass {k} has no documents")
-        blocks.append(occurs[members])
-    return CoverProgram(R_blocks=tuple(blocks), N=occurs[corpus.majority_indices()],
-                        terms=vocab.terms)
+    # LabeledCorpus refuses a subclass with no documents, so no block is empty
+    blocks = tuple(occurs[corpus.subclass_indices(k)] for k in range(1, corpus.K + 1))
+    return CoverProgram(R_blocks=blocks, N=occurs[corpus.majority_indices()], terms=vocab.terms)
 
 
 def _evaluate_assignment(p: CoverProgram, assign: np.ndarray) -> CoverSolution:

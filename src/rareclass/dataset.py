@@ -216,7 +216,6 @@ def _read_spans(fn, fd: int, spans: list):
     for lineno, at, length in spans:
         line = str(data[at - start:at - start + length], "utf-8")
         pairs.append((lineno, line.rstrip("\r\n") + "\n" if line.endswith(("\r", "\r\n")) else line))
-    del data                                    # fn holds only the decoded lines
     return fn(pairs)
 
 
@@ -244,12 +243,34 @@ def map_lines(fn, path, size: int, weigh: bool = False):
                 yield mapped
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key it repeats (json.loads keeps its last value) is a ValueError naming it."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return obj
+
+
+# every input rareclass reads (corpus and stream records, model files, config files) is decoded by it
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def decode_json(text: str):
+    """json.loads(text), with a repeated key refused (_unique_keys)."""
+    if text.startswith("\ufeff"):                 # json.loads's own refusal
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _DECODER.decode(text)
+
+
 def parse_line(lineno: int, line: str):
-    """One jsonl record; a line that is not JSON is a CorpusError naming it."""
+    """One jsonl record; a line that is not JSON, or repeats a key, is a CorpusError naming it."""
     try:
-        return json.loads(line)
+        return decode_json(line)
     except json.JSONDecodeError as exc:
         raise CorpusError(f"line {lineno}: invalid json ({exc.msg})") from exc
+    except ValueError as exc:                     # a repeated key
+        raise CorpusError(f"line {lineno}: {exc}") from exc
 
 
 def _record_fields(lineno: int, rec) -> tuple[str, str, str | None, list | None]:

@@ -16,7 +16,8 @@ import sys
 
 
 class WorkerDied(RuntimeError):
-    """A pool worker process ended without returning its chunk (killed, say, for memory)."""
+    """A worker process, a pool's or `bench`'s child, ended without returning its
+    result (killed, say, for memory)."""
 
 
 def chunked(items, size: int, weight=lambda item: 1):
@@ -129,7 +130,6 @@ def _fork_map(fn, jobs, *, workers: int, started: list):
             pipe.send(job)
         except OSError:
             raise _worker_died(proc) from None
-        del job                                   # sent: this process need not hold it meanwhile
         sent += 1
         if sent > workers:
             yield result

@@ -11,7 +11,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .dataset import CorpusError, atomic_write, check_features, record_text
+from .dataset import CorpusError, atomic_write, check_features, decode_json, record_text
 from .errors import DataError
 from .featurize import PcaProjection, TermCounts, Vocabulary, count_terms, tfidf_transform
 from .objective import ModelParams
@@ -359,8 +359,8 @@ def load(path) -> ModelDocument:
     ModelDocumentError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:          # not JSON, or not UTF-8
+            doc = decode_json(fh.read())
+    except ValueError as exc:          # not JSON, a repeated key, or not UTF-8
         raise ModelDocumentError(f"corrupt model document: {exc}") from exc
     try:
         model = DOCUMENT_JSON(doc)

@@ -1,6 +1,8 @@
 import json
 import math
+import pickle
 import re
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -10,14 +12,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import run_single_by_hand, text_feature_corpus, train_by_hand, write_integer_model
 from rareclass import cli, featurize, trainer
 from rareclass.cli import (
-    EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, bench_timings, build_parser, main,
+    EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_WORKER, bench_timings, build_parser, main,
 )
 from rareclass.dataset import SyntheticConfig, gen_synthetic, load_corpus, save_corpus, split_protocol
 from rareclass.recognizer import (
     EMERGING, KNOWN, MAJORITY, Decision, load, predict_stream, save,
 )
 from rareclass.rejection import EVT_POT, PERCENTILE
-from rareclass.trainer import TrainConfig
+from rareclass.trainer import DivergenceError, TrainConfig
 
 
 def _reject_constant(name):
@@ -204,6 +206,7 @@ class TestPredictStreaming:
         ('[1, 2, 3]', "not a JSON object"),
         ('{"text": "hello"}', "requires 'features'"),
         ('{"features": [1, 2, 3]', "invalid json"),
+        ('{"features": [9, 9, 9], "features": [1, 2, 3]}', "repeated key 'features'"),
     ])
     def test_bad_record_is_data_error_naming_its_line(self, tmp_path, integer_model, capsys,
                                                       bad, message):
@@ -444,8 +447,10 @@ class TestInputChecks:
         ('{"label": "majority", "features": [1, 1e400, 3]}', "non-finite"),
         ('{"label": "majority", "features": [1, 1' + "0" * 400 + ', 3]}', "float range"),
         ('[1, 2, 3]', "not a JSON object"),
+        ('{"label": "rare", "subclass": "a", "label": "majority", "features": [1, 1, 1]}',
+         "repeated key 'label'"),
     ], ids=["short", "long", "nested", "string", "null", "bool", "scalar", "nan", "-inf",
-            "float-overflow", "int-overflow", "not-object"])
+            "float-overflow", "int-overflow", "not-object", "repeated-key"])
     def test_bad_corpus_record_is_data_error_naming_its_line(self, tmp_path, capsys,
                                                              bad, message):
         corpus = tmp_path / "c.jsonl"
@@ -608,6 +613,23 @@ class TestSynthAndBench:
         assert len(payload["timings"]) == 3 and len(payload["ratios"]) == 2
         assert payload["config"]["d"] == 10
 
+    @pytest.mark.parametrize("child, code, message", [
+        # killed (say, for memory) before it wrote a result
+        (subprocess.CompletedProcess([], -9, stdout=b""), EXIT_WORKER,
+         "bench child exited with status -9"),
+        # a documented error in a fit is pickled back and keeps its exit code
+        (subprocess.CompletedProcess([], 0, stdout=pickle.dumps(DivergenceError("loss ran away"))),
+         EXIT_NUMERIC, "loss ran away"),
+    ], ids=["child-died", "child-error"])
+    def test_bench_child_failure_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                   child, code, message):
+        monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: child)
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--n", "80", "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not out.exists()
+
 
 class TestErrorsAndSeeds:
     def test_missing_input_is_data_error(self, tmp_path):
@@ -643,6 +665,15 @@ class TestErrorsAndSeeds:
                    "--out", str(tmp_path / "m.json")])
         assert rc == EXIT_NUMERIC
         assert "non-finite loss nan at iter 0" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_non_finite_step_is_numeric_error(self, synth_file, tmp_path, monkeypatch, capsys):
+        # an infinite gradient makes the iterate infinite before any loss is computed
+        monkeypatch.setattr(trainer, "_grad", lambda theta, *args: np.full_like(theta, np.inf))
+        rc = main(["train", "--input", synth_file, "--rep", "raw", "--iters", "20",
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err == "error: non-finite parameter entries\n"
         assert not (tmp_path / "m.json").exists()
 
     def test_evaluate_with_every_repetition_failed(self, tmp_path, capsys):
@@ -768,7 +799,8 @@ class TestErrorsAndSeeds:
         ('{"reps": 1,', "Expecting"),
         ('[1, 2]', "is not a JSON object"),
         ('"raw"', "is not a JSON object"),
-    ], ids=["missing", "not-json", "array", "string"])
+        ('{"iters": 0, "iters": 3}', "repeated key 'iters'"),
+    ], ids=["missing", "not-json", "array", "string", "repeated-key"])
     def test_bad_config_file_is_usage_error_naming_it(self, tmp_path, synth_file, capsys,
                                                       content, message):
         conf = tmp_path / "conf.json"

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_program_by_hand, solve_exact_by_hand, solve_greedy_by_hand
 from rareclass.coverage import (
-    CoverProgram, CoverageError, _evaluate_assignment, build_program, check_feasible,
+    CoverProgram, CoverSolution, CoverageError, _evaluate_assignment, build_program, check_feasible,
     coverage_report, enumerate_exact, report_text, report_words_csv, solve_exact, solve_greedy,
 )
 from rareclass.dataset import Doc, LabeledCorpus, MAJORITY, RARE
@@ -67,6 +68,11 @@ class TestBuildProgram:
     def test_binary_invariant_enforced(self):
         with pytest.raises(CoverageError, match="binary"):
             CoverProgram(R_blocks=(np.array([[2]]),), N=np.zeros((0, 1), dtype=np.int8),
+                         terms=("a",))
+
+    def test_matrix_width_must_equal_vocab_size(self):
+        with pytest.raises(CoverageError, match="^occurrence matrix width must equal vocab size$"):
+            CoverProgram(R_blocks=(np.array([[1, 0]]),), N=np.zeros((0, 2), dtype=np.int8),
                          terms=("a",))
 
 
@@ -189,6 +195,27 @@ class TestFeasibilityCheck:
         sol.vk = (sol.vk[0] | frozenset({0}),)
         with pytest.raises(CoverageError):
             check_feasible(sol, p)
+
+    # K=2: rare docs 0-1 in subclass 1, doc 2 in subclass 2 (rows of R_all); word 1 covers the majority doc
+    PROGRAM = CoverProgram(R_blocks=(np.array([[1, 0], [0, 0]], dtype=np.int8),
+                                     np.array([[1, 1]], dtype=np.int8)),
+                           N=np.array([[0, 1]], dtype=np.int8), terms=("a", "b"))
+    # no word used: every rare doc exonerated, once for its v_k and once for v0
+    NO_WORDS = CoverSolution(v0=frozenset(), vk=(frozenset(), frozenset()), z0=frozenset({0, 1, 2}),
+                             zk=(frozenset({0, 1}), frozenset({0})), o=6, alpha=0, beta=0,
+                             objective=6, optimal=True)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"zk": (frozenset({0}), frozenset({0}))}, "uncovered, unexonerated doc 1 in subclass 1"),
+        ({"z0": frozenset({0, 1})}, "uncovered, unexonerated rare doc 2"),
+        ({"o": 5}, "exoneration count exceeds o"),
+        ({"v0": frozenset({1})}, "not-rare cross-coverage exceeds alpha"),
+        ({"vk": (frozenset({0}), frozenset())}, "cross-subclass coverage exceeds beta"),
+    ], ids=["subclass-doc", "rare-doc", "o", "alpha", "beta"])
+    def test_rejects_each_broken_constraint(self, changes, message):
+        check_feasible(self.NO_WORDS, self.PROGRAM)
+        with pytest.raises(CoverageError, match=f"^{message}$"):
+            check_feasible(dataclasses.replace(self.NO_WORDS, **changes), self.PROGRAM)
 
 
 class TestReports:

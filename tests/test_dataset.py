@@ -1,7 +1,9 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import balanced_corpus
 from rareclass.dataset import (
@@ -105,6 +107,26 @@ class TestLineReader:
     def test_invalid_json_names_its_line(self):
         with pytest.raises(CorpusError, match=r"^line 7: invalid json \("):
             parse_line(7, '{"a": ')
+
+    # JSON values whose objects have unique keys; one record repeats a key of its own
+    VALUES = st.recursive(st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+                          | st.text(max_size=5),
+                          lambda inner: st.lists(inner, max_size=3)
+                          | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=8)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(record=st.dictionaries(st.text(max_size=3), VALUES, min_size=1, max_size=4),
+           value=VALUES, data=st.data())
+    def test_repeated_key_is_refused_naming_it(self, record, value, data):
+        assert parse_line(3, json.dumps(record)) == record
+        key = data.draw(st.sampled_from(sorted(record)))
+        text = json.dumps(record)[:-1] + ", " + json.dumps(key) + ": " + json.dumps(value) + "}"
+        with pytest.raises(CorpusError, match=f"^line 3: repeated key {re.escape(repr(key))}$"):
+            parse_line(3, text)
+
+    def test_repeated_key_in_a_nested_object_is_refused(self):
+        with pytest.raises(CorpusError, match=r"^line 2: repeated key 'x'$"):
+            parse_line(2, '{"features": [1], "meta": {"x": 1, "x": 2}}')
 
     def test_non_utf8_file_names_it(self, tmp_path):
         f = tmp_path / "s.jsonl"
@@ -224,3 +246,31 @@ class TestGenSynthetic:
         with pytest.raises(ValueError):
             SyntheticConfig(d=3, K_total=2, docs_per_subclass=3, majority_docs=5,
                             subclass_separation=1.0)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"K_total": 1}, "K_total must be >= 2"),
+        ({"subclass_separation": -0.5}, "subclass_separation must be >= 0"),
+        ({"noise_scale": 0.0}, "noise_scale must be > 0"),
+    ], ids=["K_total", "subclass_separation", "noise_scale"])
+    def test_config_refuses_each_bad_field(self, changes, message):
+        # the synth command's flags refuse these first; a library caller meets these checks
+        fields = dict(d=3, K_total=2, docs_per_subclass=5, majority_docs=5, subclass_separation=1.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SyntheticConfig(**{**fields, **changes})
+
+
+class TestLabeledCorpusChecks:
+    """A corpus built in code meets the checks load_corpus's record rules make first for a file."""
+
+    @pytest.mark.parametrize("doc, message", [
+        (Doc("t", RARE), "doc 1: rare doc missing subclass"),
+        (Doc("t", RARE, 3), "doc 1: subclass 3 outside 1..2"),
+        (Doc("t", RARE, 0), "doc 1: subclass 0 outside 1..2"),
+        (Doc("t", MAJORITY, 1), "doc 1: majority doc carries subclass"),
+        (Doc("t", "other"), "doc 1: unknown label 'other'"),
+    ], ids=["rare-without-subclass", "subclass-above-K", "subclass-0", "majority-with-subclass",
+            "unknown-label"])
+    def test_refuses_an_inconsistent_doc(self, doc, message):
+        docs = (Doc("a", RARE, 1), doc, Doc("b", RARE, 2), Doc("c", MAJORITY))
+        with pytest.raises(CorpusError, match=f"^{message}$"):
+            LabeledCorpus(docs=docs, K=2)

@@ -89,6 +89,9 @@ CORRUPTIONS = [
     # a pca key in another kind's representation
     ("raw", _set(["representation", "rank"], 4), "'representation.rank'"),
     ("tfidf", _set(["representation", "rank"], 9), "'representation.rank'"),
+    # a size that disagrees with the parameters
+    ("raw", _set(["d"], 99), "d=99"),
+    ("raw", _set(["K"], 2), "K=2"),
 ]
 
 
@@ -210,3 +213,24 @@ class TestBoundaryFuzz:
         rc, err, wrote = predict_corrupted(root, models[name][2], doc)
         assert rc == EXIT_DATA, err
         assert "Traceback" not in err and not wrote
+
+
+# (model, key, where its repeat goes): the repeat comes first, so a reader that keeps the
+# last value would read the file's own value and load it
+REPEATS = [("raw", "version", ""), ("raw", "b0", "params"), ("tfidf", "df", "vocab")]
+
+
+@pytest.mark.parametrize("name, key, parent", REPEATS, ids=[key for _, key, _ in REPEATS])
+def test_repeated_key_is_data_error_naming_it(trained, name, key, parent):
+    root, models = trained
+    path, _, stream = models[name]
+    text = path.read_text()
+    at = text.index(f'"{parent}": {{') + len(parent) + 5 if parent else 1
+    text = text[:at] + f'"{key}": 99, ' + text[at:]
+    model = root / "repeated.json"
+    model.write_text(text)
+    err_out = io.StringIO()
+    with contextlib.redirect_stderr(err_out):
+        rc = main(["predict", "--model", str(model), "--input", str(stream)])
+    assert rc == EXIT_DATA
+    assert err_out.getvalue() == f"error: corrupt model document: repeated key {key!r}\n"

@@ -227,6 +227,30 @@ class TestGradients:
         with pytest.raises(ObjectiveError):
             grad_wk(3, ModelParams.zeros(data.d, 2), data, Hyperparams.uniform(2), gram)
 
+    @pytest.mark.parametrize("which", [-1, 3])
+    def test_invalid_bias_id(self, which):
+        data = make_instance(np.random.default_rng(16), K=2)
+        with pytest.raises(ObjectiveError, match=f"^invalid subclass id {which}$"):
+            grad_bias(which, ModelParams.zeros(data.d, 2), data)
+
+
+class TestInputChecks:
+    """The checks a library caller meets: the command line refuses these first."""
+
+    @pytest.mark.parametrize("lambda0, lambdak, mu", [(-1.0, 1.0, 1.0), (1.0, -1.0, 1.0),
+                                                      (1.0, 1.0, -1e-9)],
+                             ids=["lambda0", "lambdak", "mu"])
+    def test_negative_hyperparameter_refused(self, lambda0, lambdak, mu):
+        with pytest.raises(ObjectiveError, match="^hyperparameters must be non-negative$"):
+            Hyperparams.uniform(2, lambda0=lambda0, lambdak=lambdak, mu=mu)
+
+    def test_labels_that_disagree_with_the_rare_rows_refused(self):
+        data = make_instance(np.random.default_rng(17), K=2)
+        with pytest.raises(ObjectiveError, match="^y_all positives must match rare row count$"):
+            BoundData(X=data.X, y_all=np.full_like(data.y_all, -1.0), R=data.R, Yk=data.Yk)
+        with pytest.raises(ObjectiveError, match="^per-subclass labels must cover the rare rows$"):
+            BoundData(X=data.X, y_all=data.y_all, R=data.R, Yk=data.Yk[:, 1:])
+
 
 def kernel_flat(p, data, hp, gram):
     return _grad(p.theta, hp, gram.g2, data.X, data.y_all, data.R, data.Yk).ravel()

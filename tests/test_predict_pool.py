@@ -284,6 +284,25 @@ class TestWorkerDies:
             lines = proc.stdout.splitlines()[:-1]
             assert [json.loads(l)["index"] for l in lines] == list(range(6))
 
+    def test_worker_that_dies_on_its_job(self):
+        # the main process reads the end of the worker's pipe where it waits for the result
+        with pytest.raises(pool.WorkerDied, match=r"ended before returning its chunk \(exit status 9\)$"), \
+                pool._chunk_mapper(2) as mapper:
+            list(mapper(os._exit, [9, 9, 9]))
+        assert multiprocessing.active_children() == []
+
+    def test_worker_gone_before_its_first_job(self, monkeypatch):
+        # the main process's send to the worker fails: still the worker's death, not a pipe error
+        monkeypatch.setattr(pool, "_serve", lambda fn, pipe, inherited: os._exit(7))
+        with pytest.raises(pool.WorkerDied, match=r"ended before returning its chunk \(exit status 7\)$"), \
+                pool._chunk_mapper(2) as mapper:
+            def jobs():
+                for proc, _ in mapper.keywords["started"]:      # every worker has exited
+                    proc.join(timeout=60)
+                yield from range(3)
+            list(mapper(abs, jobs()))
+        assert multiprocessing.active_children() == []
+
 
 class TestInterrupted:
     @pytest.mark.parametrize("cpus", [1, 2])

@@ -258,6 +258,14 @@ class TestModelDocument:
                           representation={"kind": "raw"},
                           subclass_names=("a", "b"))
 
+    @pytest.mark.parametrize("representation", [{"kind": "bow"}, {}, "raw"],
+                             ids=["kind", "no-kind", "string"])
+    def test_unknown_representation(self, gate_model, representation):
+        # a model file's field table refuses these first; a model built in code meets this check
+        with pytest.raises(ModelDocumentError, match="^unknown representation "):
+            ModelDocument(d=2, K=2, params=gate_model.params, thresholds=gate_model.thresholds,
+                          representation=representation, subclass_names=("a", "b"))
+
     def test_featurize_records(self):
         vocab = build_vocab(["flood water flood", "fire smoke", "calm day"])
         model = make_model(w0=np.zeros(vocab.d), b0=0.0,
@@ -415,6 +423,18 @@ class TestPersistence:
         save(model, f)
         back = load(f)
         assert back.projection.components.tobytes() == proj.components.tobytes()
+
+    def test_non_finite_value_is_refused_and_nothing_written(self, tmp_path):
+        # the constructors refuse non-finite parameters and thresholds; a projection is not checked
+        model = make_model(w0=np.zeros(2), b0=0.0, W=np.zeros((1, 2)), b=[0.0], thresholds=[0.0],
+                           representation={"kind": "pca", "rank": 2})
+        model.projection = pca_fit(np.random.default_rng(2).standard_normal((20, 5)), rank=2)
+        model.projection.mean[3] = math.nan
+        model.vocab = build_vocab(["aa bb cc dd ee"])
+        f = tmp_path / "model.json"
+        with pytest.raises(ModelDocumentError, match="^model document has a non-finite value: "):
+            save(model, f)
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncated_file(self, tmp_path):
         f = tmp_path / "model.json"
