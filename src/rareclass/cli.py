@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         # argparse passes a string default through type= too: a bad RARE_SEED is a usage error
-        p.add_argument("--seed", type=int, default=os.environ.get("RARE_SEED") or "0",
+        p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=os.environ.get("RARE_SEED") or "0",
                        help="default: RARE_SEED, else 0")
 
     def add_train_flags(p):
@@ -165,7 +165,7 @@ def _config_tokens(path: str) -> list[str]:
     try:
         with open(path, encoding="utf-8") as fh:
             conf = decode_json(fh.read())
-    except (OSError, ValueError) as exc:            # unreadable, not JSON, or a repeated key
+    except (OSError, ValueError) as exc:            # unreadable, not JSON, repeated key, too deep
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(conf, dict):
         raise UsageError(f"config file {path} is not a JSON object")

@@ -61,6 +61,13 @@ class CoverProgram:
         block = self.R_blocks[s - 1]
         return block, np.delete(self.R_all, slice(lo, lo + len(block)), axis=0)
 
+    def cover(self, s: int, words) -> tuple[np.ndarray, int]:
+        """(a mask of set s's target docs that the words cover, the cross matches
+        the words make on its other docs)."""
+        target, other = self.target(s)
+        cols = sorted(words)
+        return target[:, cols].any(axis=1), int(other[:, cols].sum())
+
 
 @dataclass
 class CoverSolution:
@@ -91,15 +98,11 @@ def build_program(corpus: LabeledCorpus, vocab: Vocabulary) -> CoverProgram:
 def _evaluate_assignment(p: CoverProgram, assign: np.ndarray) -> CoverSolution:
     """Score a complete word assignment (0=unused, 1=v0, 2..K+1=v_k) with tight o/alpha/beta:
     a set's uncovered target docs are exonerated; v0's cross sum is alpha, the v_k's add to beta."""
-    sets, exonerated, cross = [], [], []
-    for s in range(p.K + 1):
-        cols = assign == s + 1
-        target, other = p.target(s)
-        sets.append(frozenset(int(j) for j in np.flatnonzero(cols)))
-        exonerated.append(frozenset(int(i) for i in np.flatnonzero(target[:, cols].sum(axis=1) == 0)))
-        cross.append(int(other[:, cols].sum()))
+    sets = [frozenset(np.flatnonzero(assign == s + 1).tolist()) for s in range(p.K + 1)]
+    covers = [p.cover(s, words) for s, words in enumerate(sets)]
+    exonerated = [frozenset(np.flatnonzero(~covered).tolist()) for covered, _ in covers]
     o = sum(len(z) for z in exonerated)
-    alpha, beta = cross[0], sum(cross[1:])
+    alpha, beta = covers[0][1], sum(cross for _, cross in covers[1:])
     return CoverSolution(
         v0=sets[0], vk=tuple(sets[1:]), z0=exonerated[0], zk=tuple(exonerated[1:]),
         o=o, alpha=alpha, beta=beta,
@@ -230,32 +233,21 @@ def solve_greedy(p: CoverProgram) -> CoverSolution:
 def check_feasible(sol: CoverSolution, p: CoverProgram) -> None:
     """Raise CoverageError unless all constraint families hold exactly."""
     sets = sol.word_sets()
-    for a in range(len(sets)):
-        for b in range(a + 1, len(sets)):
-            if sets[a] & sets[b]:
-                raise CoverageError("word sets overlap")
-    for k in range(p.K):
-        cols = sorted(sol.vk[k])
-        for i in range(len(p.R_blocks[k])):
-            covered = any(p.R_blocks[k][i, j] for j in cols)
-            if not covered and i not in sol.zk[k]:
-                raise CoverageError(f"uncovered, unexonerated doc {i} in subclass {k + 1}")
-    cols0 = sorted(sol.v0)
-    R_all = p.R_all
-    for i in range(len(R_all)):
-        if not any(R_all[i, j] for j in cols0) and i not in sol.z0:
-            raise CoverageError(f"uncovered, unexonerated rare doc {i}")
-    if len(sol.z0) + sum(len(z) for z in sol.zk) > sol.o:
+    if sum(len(words) for words in sets) > len(frozenset().union(*sets)):
+        raise CoverageError("word sets overlap")
+    exonerated = [sol.z0, *sol.zk]
+    cross = [0] * len(sets)
+    for s in [*range(1, p.K + 1), 0]:
+        covered, cross[s] = p.cover(s, sets[s])
+        for i in np.flatnonzero(~covered).tolist():
+            if i not in exonerated[s]:
+                raise CoverageError(f"uncovered, unexonerated doc {i} in subclass {s}" if s
+                                    else f"uncovered, unexonerated rare doc {i}")
+    if sum(len(z) for z in exonerated) > sol.o:
         raise CoverageError("exoneration count exceeds o")
-    alpha = sum(int(p.N[:, j].sum()) for j in sol.v0)
-    if alpha > sol.alpha:
+    if cross[0] > sol.alpha:
         raise CoverageError("not-rare cross-coverage exceeds alpha")
-    beta = 0
-    for k in range(p.K):
-        for kp in range(p.K):
-            if kp != k:
-                beta += sum(int(p.R_blocks[k][:, j].sum()) for j in sol.vk[kp])
-    if beta > sol.beta:
+    if sum(cross[1:]) > sol.beta:
         raise CoverageError("cross-subclass coverage exceeds beta")
 
 
@@ -281,30 +273,27 @@ def coverage_report(sol: CoverSolution, p: CoverProgram) -> dict:
         entries.sort(key=lambda e: (-e["ratio"], e["term"]))
         return entries
 
-    def covered(target: np.ndarray, cols: list[int]) -> int:
-        return int(np.count_nonzero(target[:, cols].sum(axis=1) > 0))
-
     subclasses = []
     for k in range(p.K):
         block, others = p.target(k + 1)
-        cols = sorted(sol.vk[k])
-        cross = int(others[:, cols].sum())
+        covered, cross = p.cover(k + 1, sol.vk[k])
         subclasses.append({
             "subclass": k + 1,
             "n_docs": len(block),
-            "within_coverage_pct": 100.0 * covered(block, cols) / max(len(block), 1),
+            "within_coverage_pct": 100.0 * int(np.count_nonzero(covered)) / max(len(block), 1),
             "cross_matches": cross,
-            "cross_coverage_pct": 100.0 * cross / max(len(others) * max(len(cols), 1), 1),
+            "cross_coverage_pct": 100.0 * cross / max(len(others) * max(len(sol.vk[k]), 1), 1),
             "words": word_entries(sol.vk[k], block, others),
         })
     R_all, N = p.target(0)
+    covered, _ = p.cover(0, sol.v0)
     return {
         "objective": sol.objective,
         "optimal": sol.optimal,
         "o": sol.o, "alpha": sol.alpha, "beta": sol.beta,
         "general": {
             "n_docs": len(R_all),
-            "within_coverage_pct": 100.0 * covered(R_all, sorted(sol.v0)) / max(len(R_all), 1),
+            "within_coverage_pct": 100.0 * int(np.count_nonzero(covered)) / max(len(R_all), 1),
             "not_rare_matches": sol.alpha,
             "words": word_entries(sol.v0, R_all, N),
         },

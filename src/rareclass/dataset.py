@@ -257,10 +257,14 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def decode_json(text: str):
-    """json.loads(text), with a repeated key refused (_unique_keys)."""
+    """json.loads(text), with a repeated key refused (_unique_keys), and nesting
+    deeper than the interpreter's recursion limit a ValueError, not a RecursionError."""
     if text.startswith("\ufeff"):                 # json.loads's own refusal
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    return _DECODER.decode(text)
+    try:
+        return _DECODER.decode(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def parse_line(lineno: int, line: str):
@@ -269,7 +273,7 @@ def parse_line(lineno: int, line: str):
         return decode_json(line)
     except json.JSONDecodeError as exc:
         raise CorpusError(f"line {lineno}: invalid json ({exc.msg})") from exc
-    except ValueError as exc:                     # a repeated key
+    except ValueError as exc:                     # a repeated key, or nesting too deep
         raise CorpusError(f"line {lineno}: {exc}") from exc
 
 

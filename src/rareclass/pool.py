@@ -20,7 +20,7 @@ class WorkerDied(RuntimeError):
     result (killed, say, for memory)."""
 
 
-def chunked(items, size: int, weight=lambda item: 1):
+def chunked(items, size: int, weight):
     """The items in lists of total `weight` at least `size`; the last list may weigh less."""
     chunk, filled = [], 0
     for item in items:

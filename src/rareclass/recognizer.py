@@ -168,7 +168,7 @@ class ModelDocument:
 
 
 def predict_batch(model: ModelDocument, X: np.ndarray,
-                  stats: StreamStats | None = None) -> list[Decision]:
+                  stats: StreamStats | None) -> list[Decision]:
     """Route each row of X: one GC product for all rows, SC scores only for the
     rows the GC does not filter out as majority (gc <= 0; a NaN score is not
     filtered), then argmax-with-reject over the SCs: a score at its threshold
@@ -359,14 +359,11 @@ def load(path) -> ModelDocument:
     ModelDocumentError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = decode_json(fh.read())
-    except ValueError as exc:          # not JSON, a repeated key, or not UTF-8
-        raise ModelDocumentError(f"corrupt model document: {exc}") from exc
-    try:
-        model = DOCUMENT_JSON(doc)
+            model = DOCUMENT_JSON(decode_json(fh.read()))
     except ModelDocumentError:
         raise
-    except ValueError as exc:          # the checks of ModelParams, RejectionThresholds, Vocabulary
+    # not UTF-8 or JSON, a repeated key, or a check of ModelParams, RejectionThresholds, Vocabulary
+    except ValueError as exc:
         raise ModelDocumentError(f"corrupt model document: {exc}") from exc
     # a text model built in code may get its vocabulary later; a file must carry it
     kind = model.representation["kind"]

@@ -101,7 +101,7 @@ def _pot_lower_threshold(scores: np.ndarray, q: float) -> tuple[float, TailFit] 
     return float(t), TailFit(shape=xi, scale=sigma, anchor=u)
 
 
-def calibrate_scores(per_subclass_scores: list[np.ndarray], method: str = EVT_POT,
+def calibrate_scores(per_subclass_scores: list[np.ndarray], method: str,
                      q: float = 0.01) -> RejectionThresholds:
     """Calibrate one threshold per subclass from training-member scores."""
     if method not in MIN_SAMPLES:

@@ -73,7 +73,7 @@ def _batch_view(data: BoundData, rng: np.random.Generator, m: int,
             gc_scale, sc_scale)
 
 
-def fit(data: BoundData, hp: Hyperparams, cfg: TrainConfig = TrainConfig(),
+def fit(data: BoundData, hp: Hyperparams, cfg: TrainConfig,
         gram: GramCache | None = None) -> TrainedModel:
     """Nesterov-accelerated subgradient descent on the joint parameter block.
 
@@ -103,9 +103,7 @@ def fit(data: BoundData, hp: Hyperparams, cfg: TrainConfig = TrainConfig(),
     best_theta = theta
     loss_trace: list[float] = []
     iterates: list[ModelParams] | None = [] if cfg.track_iterates else None
-    initial_loss = None
     converged = False
-    iters_run = 0
 
     for it in range(cfg.max_iters):
         eta = step0 / np.sqrt(1.0 + it)
@@ -113,7 +111,6 @@ def fit(data: BoundData, hp: Hyperparams, cfg: TrainConfig = TrainConfig(),
         g = _grad(theta + cfg.momentum * velocity, hp, gram.g2, *rows)
         velocity = cfg.momentum * velocity - eta * g
         theta = theta + velocity
-        iters_run = it + 1
         if not np.all(np.isfinite(theta)):
             raise ObjectiveError("non-finite parameter entries")
 
@@ -123,8 +120,7 @@ def fit(data: BoundData, hp: Hyperparams, cfg: TrainConfig = TrainConfig(),
             iterates.append(ModelParams.from_flat(theta, d, K))
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss {loss} at iter {it}")
-        if initial_loss is None:
-            initial_loss = max(loss, 1e-12)
+        initial_loss = max(loss_trace[0], 1e-12)
         if loss > 1e6 * initial_loss:
             raise DivergenceError(
                 f"loss {loss:.3e} exceeded 1e6x initial {initial_loss:.3e} at iter {it}")
@@ -143,5 +139,5 @@ def fit(data: BoundData, hp: Hyperparams, cfg: TrainConfig = TrainConfig(),
 
     return TrainedModel(params=ModelParams.from_flat(best_theta, d, K), hp=hp,
                         loss_trace=loss_trace, converged=converged,
-                        iters_run=iters_run, gram=gram, iterates=iterates)
+                        iters_run=len(loss_trace), gram=gram, iterates=iterates)
 

@@ -846,3 +846,53 @@ class TestNonUtf8Input:
         assert f"{bad} is not UTF-8 text" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "int_model.json"]
+
+
+# nested deeper than the interpreter's recursion limit, which json.loads meets as a RecursionError
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+class TestDeepNesting:
+    """JSON nested too deeply to decode is refused as any other bad JSON: the error
+    names the line or the file, with the reader's exit code and no traceback."""
+
+    def test_corpus_record(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"label": "rare", "subclass": "a", "features": [1, 1, 1]}\n'
+                          '{"label": "majority", "features": [0, 0, 0], "meta": ' + DEEP + '}\n')
+        rc = main(["train", "--input", str(corpus), "--rep", "raw", "--iters", "5",
+                   "--out", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert "error: line 2: JSON nested too deeply" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+
+    def test_stream_record(self, tmp_path, integer_model, capsys):
+        stream = tmp_path / "s.jsonl"
+        stream.write_text('{"features": [1, 1, 1]}\n' + DEEP + "\n")
+        out = tmp_path / "d.jsonl"
+        rc = main(["predict", "--model", integer_model, "--input", str(stream), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert "error: line 2: JSON nested too deeply" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_model_file(self, tmp_path, capsys):
+        model, stream, out = tmp_path / "m.json", tmp_path / "s.jsonl", tmp_path / "d.jsonl"
+        model.write_text(DEEP)
+        stream.write_text('{"features": [1, 1, 1]}\n')
+        rc = main(["predict", "--model", str(model), "--input", str(stream), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert "error: corrupt model document: JSON nested too deeply" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_config_file(self, tmp_path, synth_file, capsys):
+        conf, out = tmp_path / "conf.json", tmp_path / "r.json"
+        conf.write_text('{"iters": ' + DEEP + "}")
+        rc = main(["--config", str(conf), "evaluate", "--input", synth_file, "--rep", "raw",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert f"error: cannot read config file {conf}: JSON nested too deeply" in err
+        assert "Traceback" not in err and not out.exists()

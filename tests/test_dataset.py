@@ -274,3 +274,11 @@ class TestLabeledCorpusChecks:
         docs = (Doc("a", RARE, 1), doc, Doc("b", RARE, 2), Doc("c", MAJORITY))
         with pytest.raises(CorpusError, match=f"^{message}$"):
             LabeledCorpus(docs=docs, K=2)
+
+
+class TestFeatureMatrix:
+    def test_no_rows_of_a_corpus_built_doc_by_doc(self):
+        docs = (Doc("a", RARE, 1, np.ones(3)), Doc("b", MAJORITY, None, np.zeros(3)))
+        built = LabeledCorpus(docs=docs, K=1)
+        held = LabeledCorpus(docs=docs, K=1, features=np.array([d.features for d in docs]))
+        assert built.feature_matrix([]).shape == held.feature_matrix([]).shape == (0, 3)

@@ -88,6 +88,8 @@ class TestUsageErrors:
         (["--step", "-1"], "argument --step: '-1' is not a finite positive float"),
         (["--step", "inf"], "argument --step: 'inf' is not a finite positive float"),
         (["--batch", "100000"], "batch size 100000 outside 1..210"),
+        (["--seed", "-1"], "argument --seed: '-1' is not a non-negative int"),
+        (["--batch", "8", "--seed", "-1"], "argument --seed: '-1' is not a non-negative int"),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else None)
     def test_bad_train_flag(self, tmp_path, corpus_file, capsys, flags, message):
         out = tmp_path / "m.json"
@@ -142,6 +144,9 @@ class TestUsageErrors:
         (["coverage", "--input", "x", "--top-n", "0"], "argument --top-n: '0' is not a positive int"),
         (["coverage", "--input", "x", "--time-cap", "-1"],
          "argument --time-cap: '-1' is not a finite non-negative float"),
+        (["synth", "--seed", "-1"], "argument --seed: '-1' is not a non-negative int"),
+        (["bench", "--seed", "-1"], "argument --seed: '-1' is not a non-negative int"),
+        (["evaluate", "--input", "x", "--seed", "-1"], "argument --seed: '-1' is not a non-negative int"),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else None)
     def test_bad_flag_of_other_commands(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o.json"
@@ -159,6 +164,18 @@ class TestUsageErrors:
                                 "--out", str(out)])
         assert rc == EXIT_USAGE
         assert "argument --seed: invalid int value: 'abc'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["synth"], ["train", "--input", "{corpus}", "--rep", "raw", "--iters", "5", "--batch", "8"],
+        ["evaluate", "--input", "{corpus}", "--rep", "raw", "--iters", "5"], ["bench"],
+    ], ids=["synth", "train-batch", "evaluate", "bench"])
+    def test_negative_rare_seed(self, tmp_path, corpus_file, capsys, monkeypatch, argv):
+        monkeypatch.setenv("RARE_SEED", "-1")
+        out = tmp_path / "o.json"
+        rc, err = _run(capsys, [a.format(corpus=corpus_file) for a in argv] + ["--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert "argument --seed: '-1' is not a non-negative int" in err
         assert not out.exists()
 
     def test_help_is_still_exit_0(self, capsys):
@@ -276,7 +293,7 @@ def _rep(v):
 
 # the rule each recorded value must satisfy, and the cast that reads its text
 RULES = {
-    "seed": (int, _int(-math.inf)), "reps": (int, _int(-math.inf)),
+    "seed": (int, _int(0)), "reps": (int, _int(-math.inf)),
     "iters": (int, _int(1)), "n": (int, _int(1)), "k": (int, _int(1)), "top_n": (int, _int(1)),
     "batch": (int, _optional(_int(1))),
     "log_every": (int, _int(0)), "majority_docs": (int, _int(0)),
