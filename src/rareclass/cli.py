@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="repeated split/train/test protocol")
     p.add_argument("--input", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--reps", type=_POSITIVE_INT, default=5)
     add_train_flags(p)
     add_common(p)
 
@@ -246,8 +246,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.reps < 1:
-        raise UsageError(f"--reps must be at least 1, got {args.reps}")
     corpus = load_corpus(args.input)
     report = evaluation.run_experiment(corpus, repetitions=args.reps, base_seed=args.seed,
                                        config_echo=_effective_config(args), **_training(args))

@@ -41,7 +41,6 @@ class Doc:
 class LabeledCorpus:
     docs: tuple[Doc, ...]
     K: int
-    id: str = ""
     subclass_names: tuple[str, ...] = ()
     lines: tuple[int, ...] = ()     # each doc's line in the file it was read from, if it was
     # every doc's features as one read-only (n, d) matrix, which each Doc.features is a
@@ -73,10 +72,6 @@ class LabeledCorpus:
     @property
     def n(self) -> int:
         return len(self.docs)
-
-    @property
-    def n_rare(self) -> int:
-        return sum(1 for d in self.docs if d.label == RARE)
 
     def subclass_indices(self, k: int) -> list[int]:
         return [i for i, d in enumerate(self.docs) if d.subclass == k]
@@ -121,7 +116,6 @@ class SplitResult:
     test_majority: tuple[int, ...]    # N_test
     seen_subclasses: frozenset[int]
     unseen_subclasses: frozenset[int]
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -132,7 +126,6 @@ class SyntheticConfig:
     majority_docs: int
     subclass_separation: float
     noise_scale: float = 1.0
-    collinearity_groups: tuple[tuple[int, ...], ...] | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -373,8 +366,8 @@ def load_corpus(path) -> LabeledCorpus:
     process reading its chunk's lines from the file unless the file is a pipe (map_lines)."""
     with map_lines(_check_chunk, path, CORPUS_CHUNK, weigh=True) as (results, _):
         docs, lines, names, features = _gather(results)
-    return LabeledCorpus(docs=tuple(docs), K=len(names), id=str(path),
-                         subclass_names=names, lines=tuple(lines), features=features)
+    return LabeledCorpus(docs=tuple(docs), K=len(names), subclass_names=names,
+                         lines=tuple(lines), features=features)
 
 
 @contextlib.contextmanager
@@ -453,7 +446,6 @@ def split_protocol(corpus: LabeledCorpus, seed: int) -> SplitResult:
         test_majority=tuple(sorted(test_majority)),
         seen_subclasses=seen,
         unseen_subclasses=unseen,
-        seed=seed,
     )
 
 
@@ -463,9 +455,8 @@ def gen_synthetic(cfg: SyntheticConfig) -> LabeledCorpus:
     All rare centers share a common "rare direction" (axis 0) so that a general
     rare-vs-majority boundary exists that transfers to held-out subclasses;
     each subclass additionally has its own direction in the remaining axes.
-    Center norms equal cfg.subclass_separation. collinearity_groups duplicate a
-    group's first column into the others (plus small noise) to force
-    multi-collinearity. A noise scale or separation whose features overflow is a CorpusError.
+    Center norms equal cfg.subclass_separation. A noise scale or separation whose
+    features overflow is a CorpusError.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -477,8 +468,7 @@ def gen_synthetic(cfg: SyntheticConfig) -> LabeledCorpus:
     docs = tuple(Doc(text="", label=lab, subclass=sub, features=row)
                  for lab, sub, row in zip(labels, subs, X))
     names = tuple(f"synthetic-{k}" for k in range(1, cfg.K_total + 1))
-    return LabeledCorpus(docs=docs, K=cfg.K_total, id=f"synthetic-seed{cfg.seed}", subclass_names=names,
-                         features=X)
+    return LabeledCorpus(docs=docs, K=cfg.K_total, subclass_names=names, features=X)
 
 
 def _synthetic_rows(cfg: SyntheticConfig) -> tuple[np.ndarray, list[str], list[int | None]]:
@@ -510,11 +500,4 @@ def _synthetic_rows(cfg: SyntheticConfig) -> tuple[np.ndarray, list[str], list[i
     rows.append(pts)
     labels += [MAJORITY] * cfg.majority_docs
     subs += [None] * cfg.majority_docs
-    X = np.vstack(rows)
-
-    if cfg.collinearity_groups:
-        for group in cfg.collinearity_groups:
-            base = group[0]
-            for col in group[1:]:
-                X[:, col] = X[:, base] + 0.01 * cfg.noise_scale * rng.standard_normal(len(X))
-    return X, labels, subs
+    return np.vstack(rows), labels, subs

@@ -195,7 +195,7 @@ def train_document(corpus: LabeledCorpus, rows, subclasses, hp_template: dict,
     model = trainer.fit(data, hp, cfg, gram=gram)
     thresholds = rejection.calibrate(model, data, method=reject_method, q=q)
     return ModelDocument(
-        version=recognizer.MODEL_VERSION, d=data.d, K=data.K, params=model.params,
+        d=data.d, K=data.K, params=model.params,
         thresholds=thresholds, representation=descriptor,
         subclass_names=tuple(names[k - 1] for k in subclasses),
         vocab=vocab, projection=proj)

@@ -62,7 +62,7 @@ class StreamStats:
             self.known[k] = self.known.get(k, 0) + count
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelDocument:
     d: int
     K: int
@@ -72,11 +72,8 @@ class ModelDocument:
     subclass_names: tuple[str, ...]
     vocab: Vocabulary | None = None
     projection: PcaProjection | None = None
-    version: int = MODEL_VERSION
 
     def __post_init__(self):
-        if self.version != MODEL_VERSION:
-            raise ModelDocumentError(f"unsupported model version {self.version}")
         if self.params.d != self.d or self.params.K != self.K:
             raise ModelDocumentError(
                 f"params shape ({self.params.K}x{self.params.d}) inconsistent with d={self.d}, K={self.K}")
@@ -89,6 +86,10 @@ class ModelDocument:
         kind = self.representation.get("kind") if isinstance(self.representation, dict) else None
         if kind not in ("raw", "tfidf", "pca"):
             raise ModelDocumentError(f"unknown representation {self.representation!r}")
+        if kind != "raw" and self.vocab is None:
+            raise ModelDocumentError(f"{kind} model document has no vocabulary")
+        if kind == "pca" and self.projection is None:
+            raise ModelDocumentError("pca model document has no projection")
         if kind != "pca" and "rank" in self.representation:
             raise ModelDocumentError(f"'representation.rank' is not a key of a {kind} model")
         # a part the kind ignores would be dropped unread, so a file that carries one is refused
@@ -99,10 +100,10 @@ class ModelDocument:
         if self.representation.get("d", self.d) != self.d:
             raise ModelDocumentError(
                 f"'representation.d' {self.representation['d']} inconsistent with d={self.d}")
-        if kind == "tfidf" and self.vocab is not None and self.vocab.d != self.d:
+        if kind == "tfidf" and self.vocab.d != self.d:
             raise ModelDocumentError(f"vocabulary size {self.vocab.d} inconsistent with d={self.d}")
         proj = self.projection
-        if kind == "pca" and proj is not None:
+        if kind == "pca":
             if proj.components.shape != (self.d, len(proj.mean)):
                 raise ModelDocumentError(
                     f"projection components {proj.components.shape} inconsistent with "
@@ -110,7 +111,7 @@ class ModelDocument:
             if proj.explained_variance.shape != (proj.rank,):
                 raise ModelDocumentError(
                     f"projection explained_variance {proj.explained_variance.shape} inconsistent with rank {proj.rank}")
-            if self.vocab is not None and len(proj.mean) != self.vocab.d:
+            if len(proj.mean) != self.vocab.d:
                 raise ModelDocumentError(
                     f"projection mean length {len(proj.mean)} inconsistent with vocabulary size {self.vocab.d}")
             if self.representation.get("rank", proj.rank) != proj.rank:
@@ -359,16 +360,9 @@ def load(path) -> ModelDocument:
     ModelDocumentError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            model = DOCUMENT_JSON(decode_json(fh.read()))
+            return DOCUMENT_JSON(decode_json(fh.read()))
     except ModelDocumentError:
         raise
     # not UTF-8 or JSON, a repeated key, or a check of ModelParams, RejectionThresholds, Vocabulary
     except ValueError as exc:
         raise ModelDocumentError(f"corrupt model document: {exc}") from exc
-    # a text model built in code may get its vocabulary later; a file must carry it
-    kind = model.representation["kind"]
-    if kind != "raw" and model.vocab is None:
-        raise ModelDocumentError(f"{kind} model document has no vocabulary")
-    if kind == "pca" and model.projection is None:
-        raise ModelDocumentError("pca model document has no projection")
-    return model

@@ -46,7 +46,6 @@ class TrainConfig:
 @dataclass
 class TrainedModel:
     params: ModelParams
-    hp: Hyperparams
     loss_trace: list[float]
     converged: bool
     iters_run: int
@@ -137,7 +136,6 @@ def fit(data: BoundData, hp: Hyperparams, cfg: TrainConfig,
                 converged = True
                 break
 
-    return TrainedModel(params=ModelParams.from_flat(best_theta, d, K), hp=hp,
-                        loss_trace=loss_trace, converged=converged,
-                        iters_run=len(loss_trace), gram=gram, iterates=iterates)
+    return TrainedModel(params=ModelParams.from_flat(best_theta, d, K), loss_trace=loss_trace,
+                        converged=converged, iters_run=len(loss_trace), gram=gram, iterates=iterates)
 

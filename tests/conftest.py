@@ -133,7 +133,7 @@ def tiny_corpus():
         Doc("market opens steady", MAJORITY),
         Doc("concert tickets on sale", MAJORITY),
     )
-    return LabeledCorpus(docs=docs, K=2, id="tiny", subclass_names=("flood", "fire"))
+    return LabeledCorpus(docs=docs, K=2, subclass_names=("flood", "fire"))
 
 
 def balanced_corpus(K=3, per_subclass=10, majority=20, seed=0):
@@ -142,14 +142,14 @@ def balanced_corpus(K=3, per_subclass=10, majority=20, seed=0):
     for k in range(1, K + 1):
         docs += [Doc(f"doc subclass{k} token{i}", RARE, k) for i in range(per_subclass)]
     docs += [Doc(f"majority token{i}", MAJORITY) for i in range(majority)]
-    return LabeledCorpus(docs=tuple(docs), K=K, id=f"balanced-{K}")
+    return LabeledCorpus(docs=tuple(docs), K=K)
 
 
 def write_integer_model(path):
     """Save a raw d=3, K=2 model with integer weights at `path`: gc = x0 + x1 - 1,
     sc1 = x1, sc2 = x2, both thresholds 1. Integer features give exact scores."""
     save(ModelDocument(
-        version=1, d=3, K=2,
+        d=3, K=2,
         params=ModelParams(w0=[1.0, 1.0, 0.0], b0=-1.0,
                            W=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], b=[0.0, 0.0]),
         thresholds=RejectionThresholds(t=np.array([1.0, 1.0]), method=PERCENTILE, q=0.05),
@@ -178,7 +178,7 @@ def text_feature_corpus(seed=0, K=3, per_subclass=24, majority=72, d=5):
                 words += list(rng.choice(shared, size=2))
                 x += centers[k - 1]
             docs.append(Doc(" ".join(words), RARE if k else MAJORITY, k or None, x))
-    return LabeledCorpus(docs=tuple(docs), K=K, id=f"text-features-{seed}",
+    return LabeledCorpus(docs=tuple(docs), K=K,
                          subclass_names=tuple(f"topic-{k}" for k in range(1, K + 1)))
 
 
@@ -207,7 +207,7 @@ def train_by_hand(corpus, rep, pca_rank, hp_template, cfg, reject_method, q):
     model = trainer.fit(data, hp, cfg, gram=gram)
     thresholds = rejection.calibrate(model, data, method=reject_method, q=q)
     return recognizer.ModelDocument(
-        version=recognizer.MODEL_VERSION, d=data.d, K=data.K, params=model.params,
+        d=data.d, K=data.K, params=model.params,
         thresholds=thresholds, representation=descriptor,
         subclass_names=corpus.subclass_names or tuple(str(k) for k in range(1, data.K + 1)),
         vocab=vocab, projection=proj)
@@ -247,7 +247,7 @@ def run_single_by_hand(corpus, hp_template, cfg, seed, rep, pca_rank, reject_met
     thresholds = rejection.calibrate(model, data, method=reject_method, q=q)
     names = corpus.subclass_names or tuple(str(k) for k in range(1, corpus.K + 1))
     doc = recognizer.ModelDocument(
-        version=recognizer.MODEL_VERSION, d=data.d, K=data.K, params=model.params,
+        d=data.d, K=data.K, params=model.params,
         thresholds=thresholds, representation=descriptor,
         subclass_names=tuple(names[k - 1] for k in seen_sorted), vocab=vocab, projection=proj)
     decisions, _ = recognizer.predict_stream(doc, Xte)

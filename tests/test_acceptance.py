@@ -207,8 +207,7 @@ def _normalized_synthetic_corpus() -> LabeledCorpus:
     X = X / np.linalg.norm(X, axis=1, keepdims=True)
     docs = tuple(Doc(doc.text, doc.label, doc.subclass, features=tuple(row))
                  for doc, row in zip(base.docs, X))
-    return LabeledCorpus(docs=docs, K=base.K, id=base.id,
-                         subclass_names=base.subclass_names)
+    return LabeledCorpus(docs=docs, K=base.K, subclass_names=base.subclass_names)
 
 
 def test_criterion_08_end_to_end_synthetic_experiment():
@@ -253,7 +252,7 @@ def test_criterion_10_stream_economy_and_constant_model_size(tmp_path):
     model = fit(data, Hyperparams.uniform(3, mu=0.0),
                 TrainConfig(max_iters=200, step_size=0.01, seed=5))
     thresholds = calibrate(model, data, method=EVT_POT, q=0.05)
-    doc = ModelDocument(version=1, d=8, K=3, params=model.params,
+    doc = ModelDocument(d=8, K=3, params=model.params,
                         thresholds=thresholds, representation={"kind": "raw"},
                         subclass_names=("s1", "s2", "s3"))
 

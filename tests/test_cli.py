@@ -821,7 +821,8 @@ class TestErrorsAndSeeds:
                    "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == EXIT_USAGE
-        assert "--reps must be at least 1" in captured.err and "Traceback" not in captured.err
+        assert f"argument --reps: '{reps}' is not a positive int" in captured.err
+        assert "Traceback" not in captured.err
         assert not out.exists() and captured.out == ""
 
     def test_parser_requires_command(self, capsys):

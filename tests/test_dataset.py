@@ -29,7 +29,6 @@ class TestLoadCorpus:
         corpus = load_corpus(f)
         assert corpus.K == 2
         assert corpus.n == 3
-        assert corpus.n_rare == 2
         assert corpus.subclass_names == ("flood", "fire")
 
     def test_majority_with_subclass_rejected(self, tmp_path):
@@ -230,14 +229,6 @@ class TestGenSynthetic:
         for k in range(1, 4):
             mean = X[corpus.subclass_indices(k)].mean(axis=0)
             assert np.linalg.norm(mean) == pytest.approx(8.0, rel=0.1)
-
-    def test_collinearity_groups(self):
-        cfg = SyntheticConfig(d=4, K_total=2, docs_per_subclass=250, majority_docs=500,
-                              subclass_separation=3.0, noise_scale=1.0,
-                              collinearity_groups=((0, 1),), seed=4)
-        X = gen_synthetic(cfg).feature_matrix()
-        assert len(X) == 1000
-        assert abs(np.corrcoef(X[:, 0], X[:, 1])[0, 1]) > 0.95
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ def make_split(n_seen, n_unseen, n_majority):
         train=(), test_seen=tuple(next(i) for _ in range(n_seen)),
         test_unseen=tuple(next(i) for _ in range(n_unseen)),
         test_majority=tuple(next(i) for _ in range(n_majority)),
-        seen_subclasses=frozenset({1}), unseen_subclasses=frozenset({2}), seed=0)
+        seen_subclasses=frozenset({1}), unseen_subclasses=frozenset({2}))
 
 
 class TestTopLevelMetrics:

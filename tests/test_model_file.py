@@ -92,6 +92,8 @@ CORRUPTIONS = [
     # a size that disagrees with the parameters
     ("raw", _set(["d"], 99), "d=99"),
     ("raw", _set(["K"], 2), "K=2"),
+    # an int version other than the one the field table reads
+    ("raw", _set(["version"], 2), "'version'"),
 ]
 
 

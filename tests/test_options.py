@@ -293,7 +293,7 @@ def _rep(v):
 
 # the rule each recorded value must satisfy, and the cast that reads its text
 RULES = {
-    "seed": (int, _int(0)), "reps": (int, _int(-math.inf)),
+    "seed": (int, _int(0)), "reps": (int, _int(1)),
     "iters": (int, _int(1)), "n": (int, _int(1)), "k": (int, _int(1)), "top_n": (int, _int(1)),
     "batch": (int, _optional(_int(1))),
     "log_every": (int, _int(0)), "majority_docs": (int, _int(0)),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -17,18 +18,19 @@ from rareclass.recognizer import (
 from rareclass.rejection import PERCENTILE, RejectionThresholds
 
 
-def make_model(w0, b0, W, b, thresholds, subclass_names=None, representation=None):
+def make_model(w0, b0, W, b, thresholds, subclass_names=None, representation=None,
+               vocab=None, projection=None):
     W = np.asarray(W, dtype=np.float64)
     K, d = W.shape
     names = subclass_names or tuple(f"sub{k}" for k in range(1, K + 1))
     return ModelDocument(
-        version=1, d=d, K=K,
+        d=d, K=K,
         params=ModelParams(w0=np.asarray(w0, float), b0=float(b0),
                            W=W, b=np.asarray(b, float)),
         thresholds=RejectionThresholds(t=np.asarray(thresholds, float),
                                        method=PERCENTILE, q=0.05),
         representation=representation or {"kind": "raw"},
-        subclass_names=names)
+        subclass_names=names, vocab=vocab, projection=projection)
 
 
 @pytest.fixture
@@ -247,16 +249,9 @@ class TestModelDocument:
         params = ModelParams(w0=np.zeros(2), b0=0.0, W=np.zeros((3, 2)), b=np.zeros(3))
         th = RejectionThresholds(t=np.zeros(2), method=PERCENTILE, q=0.05)
         with pytest.raises(ModelDocumentError, match="thresholds.*K="):
-            ModelDocument(version=1, d=2, K=3, params=params, thresholds=th,
+            ModelDocument(d=2, K=3, params=params, thresholds=th,
                           representation={"kind": "raw"},
                           subclass_names=("a", "b", "c"))
-
-    def test_version_check(self, gate_model):
-        with pytest.raises(ModelDocumentError, match="version"):
-            ModelDocument(version=2, d=2, K=2, params=gate_model.params,
-                          thresholds=gate_model.thresholds,
-                          representation={"kind": "raw"},
-                          subclass_names=("a", "b"))
 
     @pytest.mark.parametrize("representation", [{"kind": "bow"}, {}, "raw"],
                              ids=["kind", "no-kind", "string"])
@@ -266,13 +261,29 @@ class TestModelDocument:
             ModelDocument(d=2, K=2, params=gate_model.params, thresholds=gate_model.thresholds,
                           representation=representation, subclass_names=("a", "b"))
 
+    @pytest.mark.parametrize("representation, parts, message", [
+        ({"kind": "tfidf"}, {}, "tfidf model document has no vocabulary"),
+        ({"kind": "pca", "rank": 2}, {}, "pca model document has no vocabulary"),
+        ({"kind": "pca", "rank": 2}, {"vocab": build_vocab(["aa"])}, "pca model document has no projection"),
+    ], ids=["tfidf-vocab", "pca-vocab", "pca-projection"])
+    def test_text_model_is_built_with_its_parts(self, representation, parts, message):
+        # the message `load` gives a file without the part: save cannot write such a file
+        with pytest.raises(ModelDocumentError, match=f"^{message}$"):
+            make_model(w0=np.zeros(2), b0=0.0, W=np.zeros((1, 2)), b=[0.0], thresholds=[0.0],
+                       representation=representation, **parts)
+
+    @pytest.mark.parametrize("name, value", [("vocab", build_vocab(["aa"])), ("projection", None), ("d", 3)])
+    def test_built_document_is_frozen(self, gate_model, name, value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(gate_model, name, value)
+        assert gate_model.vocab is None and gate_model.d == 2
+
     def test_featurize_records(self):
         vocab = build_vocab(["flood water flood", "fire smoke", "calm day"])
         model = make_model(w0=np.zeros(vocab.d), b0=0.0,
                            W=np.zeros((1, vocab.d)), b=[0.0],
                            thresholds=[0.0],
-                           representation={"kind": "tfidf"})
-        model.vocab = vocab
+                           representation={"kind": "tfidf"}, vocab=vocab)
         X = model.featurize([{"text": "flood water"}, {"text": "calm"}])
         assert X.shape == (2, vocab.d)
         Xf = model.featurize([{"features": [0.0] * vocab.d}])
@@ -289,8 +300,7 @@ class TestModelDocument:
     def test_featurize_chooses_per_record(self):
         vocab = build_vocab(["flood water flood", "fire smoke", "calm day"])
         model = make_model(w0=np.zeros(vocab.d), b0=0.0, W=np.zeros((1, vocab.d)), b=[0.0],
-                           thresholds=[0.0], representation={"kind": "tfidf"})
-        model.vocab = vocab
+                           thresholds=[0.0], representation={"kind": "tfidf"}, vocab=vocab)
         features = [float(j) for j in range(vocab.d)]
         X = model.featurize([{"text": "flood water"}, {"features": features},
                              {"text": "fire", "features": features}])
@@ -320,7 +330,7 @@ class TestModelDocument:
         gate_model.check_record({"features": [1, -2.5]})
         gate_model.check_record({"features": [0.0, math.nan], "text": 3})
         text_model = make_model(w0=[0.0], b0=0.0, W=[[0.0]], b=[0.0], thresholds=[0.0],
-                                representation={"kind": "tfidf"})
+                                representation={"kind": "tfidf"}, vocab=build_vocab(["aa"]))
         text_model.check_record({"text": "hello"})
         text_model.check_record({})
         with pytest.raises(ModelDocumentError, match="'text' is not a string"):
@@ -361,10 +371,8 @@ VOCAB = build_vocab(["flood water flood", "fire smoke", "calm day"])
 
 def featurize_model(kind):
     d = 2 if kind == "raw" else VOCAB.d
-    model = make_model(w0=np.zeros(d), b0=0.0, W=np.zeros((1, d)), b=[0.0], thresholds=[0.0],
-                       representation={"kind": kind})
-    model.vocab = None if kind == "raw" else VOCAB
-    return model
+    return make_model(w0=np.zeros(d), b0=0.0, W=np.zeros((1, d)), b=[0.0], thresholds=[0.0],
+                      representation={"kind": kind}, vocab=None if kind == "raw" else VOCAB)
 
 
 def stream_records(d):
@@ -416,9 +424,8 @@ class TestPersistence:
         proj = pca_fit(rng.standard_normal((20, 5)), rank=2)
         model = make_model(w0=np.zeros(2), b0=0.0, W=np.zeros((1, 2)), b=[0.0],
                            thresholds=[0.0],
-                           representation={"kind": "pca", "rank": 2})
-        model.projection = proj
-        model.vocab = build_vocab(["aa bb cc dd ee"])    # a pca file carries its vocabulary
+                           representation={"kind": "pca", "rank": 2}, projection=proj,
+                           vocab=build_vocab(["aa bb cc dd ee"]))    # a pca model carries its vocabulary
         f = tmp_path / "model.json"
         save(model, f)
         back = load(f)
@@ -426,11 +433,11 @@ class TestPersistence:
 
     def test_non_finite_value_is_refused_and_nothing_written(self, tmp_path):
         # the constructors refuse non-finite parameters and thresholds; a projection is not checked
+        proj = pca_fit(np.random.default_rng(2).standard_normal((20, 5)), rank=2)
+        proj.mean[3] = math.nan
         model = make_model(w0=np.zeros(2), b0=0.0, W=np.zeros((1, 2)), b=[0.0], thresholds=[0.0],
-                           representation={"kind": "pca", "rank": 2})
-        model.projection = pca_fit(np.random.default_rng(2).standard_normal((20, 5)), rank=2)
-        model.projection.mean[3] = math.nan
-        model.vocab = build_vocab(["aa bb cc dd ee"])
+                           representation={"kind": "pca", "rank": 2}, projection=proj,
+                           vocab=build_vocab(["aa bb cc dd ee"]))
         f = tmp_path / "model.json"
         with pytest.raises(ModelDocumentError, match="^model document has a non-finite value: "):
             save(model, f)

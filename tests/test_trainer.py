@@ -72,11 +72,12 @@ class TestFit:
 
     def test_loss_trace_and_bounds(self):
         data = synthetic_bound_data(seed=5)
-        model = fit(data, Hyperparams.uniform(2), TrainConfig(max_iters=50, tol=1e-15))
+        hp = Hyperparams.uniform(2)
+        model = fit(data, hp, TrainConfig(max_iters=50, tol=1e-15))
         assert len(model.loss_trace) == model.iters_run
         assert model.iters_run <= 50
         assert np.all(np.isfinite(model.loss_trace))
-        assert min(model.loss_trace) == total_loss(model.params, data, model.hp, model.gram)
+        assert min(model.loss_trace) == total_loss(model.params, data, hp, model.gram)
 
     def test_divergence_guard(self):
         data = synthetic_bound_data(seed=6)
