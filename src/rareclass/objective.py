@@ -213,7 +213,7 @@ def total_loss(params: ModelParams, data: BoundData, hp: Hyperparams,
 
 def _grad(theta: np.ndarray, hp: Hyperparams, g2: np.ndarray, X: np.ndarray,
           y: np.ndarray, R: np.ndarray, Yk: np.ndarray,
-          gc_scale: float = 1.0, sc_scale: float = 1.0) -> np.ndarray:
+          gc_scale: float, sc_scale: float) -> np.ndarray:
     """Joint subgradient, laid out like theta, without the Gram check.
 
     The GC hinge is summed over the rows of X and each SC hinge over the rows

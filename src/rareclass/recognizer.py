@@ -7,7 +7,7 @@ import contextlib
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable
+from types import MappingProxyType
 
 import numpy as np
 
@@ -68,7 +68,7 @@ class ModelDocument:
     K: int
     params: ModelParams
     thresholds: RejectionThresholds
-    representation: dict             # {"kind": "tfidf"|"pca"|"raw", ...}
+    representation: MappingProxyType  # {"kind": "tfidf"|"pca"|"raw", ...}: a dict, kept as a read-only copy
     subclass_names: tuple[str, ...]
     vocab: Vocabulary | None = None
     projection: PcaProjection | None = None
@@ -83,9 +83,10 @@ class ModelDocument:
         if len(self.subclass_names) != self.K:
             raise ModelDocumentError(
                 f"subclass_names count {len(self.subclass_names)} inconsistent with K={self.K}")
-        kind = self.representation.get("kind") if isinstance(self.representation, dict) else None
+        kind = self.representation.get("kind") if isinstance(self.representation, (dict, MappingProxyType)) else None
         if kind not in ("raw", "tfidf", "pca"):
             raise ModelDocumentError(f"unknown representation {self.representation!r}")
+        object.__setattr__(self, "representation", MappingProxyType(dict(self.representation)))
         if kind != "raw" and self.vocab is None:
             raise ModelDocumentError(f"{kind} model document has no vocabulary")
         if kind == "pca" and self.projection is None:
@@ -168,12 +169,12 @@ class ModelDocument:
         return X
 
 
-def predict_batch(model: ModelDocument, X: np.ndarray,
-                  stats: StreamStats | None) -> list[Decision]:
-    """Route each row of X: one GC product for all rows, SC scores only for the
-    rows the GC does not filter out as majority (gc <= 0; a NaN score is not
-    filtered), then argmax-with-reject over the SCs: a score at its threshold
-    accepts, and ties go to the smallest subclass id."""
+def predict_stream(model: ModelDocument, X: np.ndarray | list) -> tuple[list[Decision], StreamStats]:
+    """Route each row of an (n, d) array, or of a list of equally long rows: one
+    Decision per row, in order, plus counters over the rows. One GC product for
+    all rows, SC scores only for the rows the GC does not filter out as majority
+    (gc <= 0; a NaN score is not filtered), then argmax-with-reject over the SCs:
+    a score at its threshold accepts, and ties go to the smallest subclass id."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d:
         raise ModelDocumentError(f"input dimension {X.shape[1:]} != ({model.d},)")
@@ -193,35 +194,10 @@ def predict_batch(model: ModelDocument, X: np.ndarray,
     for j, (i, k) in enumerate(zip(rows.tolist(), subclass.tolist())):
         decisions[i] = (Decision(KNOWN, k, gc_scores[i], S[j]) if k
                         else Decision(EMERGING, None, gc_scores[i], S[j]))
-    if stats is not None:
-        stats.majority += len(X) - len(rows)
-        stats.sc_evaluations += len(rows)
-        stats.emerging += len(rows) - int(np.count_nonzero(known))
-        for k, count in zip(*np.unique(subclass[known], return_counts=True)):
-            stats.known[int(k)] = stats.known.get(int(k), 0) + int(count)
-    return decisions
-
-
-def predict(model: ModelDocument, x: np.ndarray,
-            stats: StreamStats | None = None) -> Decision:
-    """Route one input; see predict_batch."""
-    return predict_batch(model, np.asarray(x, dtype=np.float64)[None], stats)[0]
-
-
-def predict_stream(model: ModelDocument,
-                   source: Iterable[np.ndarray] | np.ndarray) -> tuple[list[Decision], StreamStats]:
-    """One Decision per input, in order, plus counters over the whole stream.
-    A 2-D array is routed as it is; any other source is read row by row."""
-    if not (isinstance(source, np.ndarray) and source.ndim == 2):
-        rows = []
-        for i, x in enumerate(source):
-            x = np.asarray(x, dtype=np.float64)
-            if x.shape != (model.d,):
-                raise ModelDocumentError(f"item {i}: input dimension {x.shape} != ({model.d},)")
-            rows.append(x)
-        source = np.stack(rows) if rows else np.empty((0, model.d))
-    stats = StreamStats()
-    return predict_batch(model, source, stats), stats
+    ids, counts = np.unique(subclass[known], return_counts=True)
+    stats = StreamStats(majority=len(X) - len(rows), known=dict(zip(ids.tolist(), counts.tolist())),
+                        emerging=len(rows) - int(np.count_nonzero(known)), sc_evaluations=len(rows))
+    return decisions, stats
 
 
 # The model file is one JSON object, laid out by DOCUMENT_JSON below and
@@ -342,6 +318,8 @@ def model_json(value) -> str:
     """The model file's JSON text of a ModelDocument or of one of its parts, each
     object laid out by its rule above. Floats round-trip bit-exactly via repr."""
     def default(part):               # what json cannot write itself
+        if isinstance(part, MappingProxyType):
+            return dict(part)
         return part.tolist() if isinstance(part, np.ndarray) else _BY_CLASS[type(part)].encode(part)
     try:
         return json.dumps(value, default=default, allow_nan=False)

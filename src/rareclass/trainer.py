@@ -94,7 +94,7 @@ def fit(data: BoundData, hp: Hyperparams, cfg: TrainConfig,
     rng = None if m is None else np.random.default_rng(cfg.seed)
 
     d, K = data.d, data.K
-    full = (data.X, data.y_all, data.R, data.Yk)
+    full = (data.X, data.y_all, data.R, data.Yk, 1.0, 1.0)
     rare_pos = np.cumsum(data.y_all > 0) - 1
     theta = np.zeros((K + 1, d + 1))
     velocity = np.zeros_like(theta)

@@ -253,7 +253,7 @@ class TestInputChecks:
 
 
 def kernel_flat(p, data, hp, gram):
-    return _grad(p.theta, hp, gram.g2, data.X, data.y_all, data.R, data.Yk).ravel()
+    return _grad(p.theta, hp, gram.g2, data.X, data.y_all, data.R, data.Yk, 1.0, 1.0).ravel()
 
 
 def rel_err(a, b):

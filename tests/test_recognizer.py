@@ -13,7 +13,7 @@ from rareclass.featurize import build_vocab, pca_fit
 from rareclass.objective import ModelParams
 from rareclass.recognizer import (
     EMERGING, KNOWN, MAJORITY, Decision, ModelDocument, ModelDocumentError,
-    StreamStats, load, predict, predict_batch, predict_stream, save,
+    StreamStats, load, predict_stream, save,
 )
 from rareclass.rejection import PERCENTILE, RejectionThresholds
 
@@ -43,8 +43,7 @@ def gate_model():
 
 class TestPredict:
     def test_majority_short_circuit(self, gate_model):
-        stats = StreamStats()
-        dec = predict(gate_model, np.array([-3.0, 99.0]), stats=stats)
+        (dec,), stats = predict_stream(gate_model, [np.array([-3.0, 99.0])])
         assert dec.verdict == MAJORITY
         assert dec.sc_scores is None and dec.subclass is None
         assert stats.sc_evaluations == 0
@@ -53,7 +52,7 @@ class TestPredict:
         model = make_model(w0=[1.0, 0.0], b0=0.0,
                            W=[[0.0, 1.0], [0.0, -1.0]], b=[0.0, 0.0],
                            thresholds=[5.0, 5.0])
-        dec = predict(model, np.array([2.0, 1.0]))
+        dec = predict_stream(model, [np.array([2.0, 1.0])])[0][0]
         assert dec.verdict == EMERGING
         assert dec.sc_scores is not None
 
@@ -62,7 +61,7 @@ class TestPredict:
         W = np.eye(6)[1:]
         model = make_model(w0=[1.0, 0, 0, 0, 0, 0], b0=0.0, W=W, b=np.zeros(5),
                            thresholds=[10.0, 0.0, 10.0, 10.0, 0.0])
-        dec = predict(model, np.array([1.0, 0.5, 1.0, 2.0, 3.0, 4.0]))
+        dec = predict_stream(model, [np.array([1.0, 0.5, 1.0, 2.0, 3.0, 4.0])])[0][0]
         assert dec.verdict == KNOWN
         assert dec.subclass == 5
 
@@ -77,7 +76,7 @@ class TestPredict:
                 model = make_model(w0=np.eye(K + 1)[0], b0=0.0, W=W,
                                    b=np.zeros(K), thresholds=thresholds)
                 x = np.array([1.0, *perm])
-                dec = predict(model, x)
+                dec = predict_stream(model, [x])[0][0]
                 accepting = [k for k in range(1, K + 1)
                              if accept_mask[k - 1] and perm[k - 1] >= 0.0]
                 if not accepting:
@@ -90,19 +89,19 @@ class TestPredict:
         model = make_model(w0=[1.0, 0.0], b0=0.0,
                            W=[[0.0, 1.0], [0.0, 1.0]], b=[0.0, 0.0],
                            thresholds=[0.0, 0.0])
-        dec = predict(model, np.array([1.0, 2.0]))
+        dec = predict_stream(model, [np.array([1.0, 2.0])])[0][0]
         assert dec.subclass == 1
 
     def test_zero_gc_score_is_majority(self, gate_model):
-        assert predict(gate_model, np.array([0.0, 1.0])).verdict == MAJORITY
+        assert predict_stream(gate_model, [np.array([0.0, 1.0])])[0][0].verdict == MAJORITY
 
     def test_dimension_mismatch(self, gate_model):
         with pytest.raises(ModelDocumentError, match="dimension"):
-            predict(gate_model, np.ones(3))
+            predict_stream(gate_model, [np.ones(3)])
 
     def test_deterministic(self, gate_model):
         x = np.array([0.7, -0.2])
-        a, b = predict(gate_model, x), predict(gate_model, x)
+        a, b = predict_stream(gate_model, [x])[0][0], predict_stream(gate_model, [x])[0][0]
         assert a.verdict == b.verdict and a.subclass == b.subclass
         assert a.gc_score == b.gc_score
         assert np.array_equal(a.sc_scores, b.sc_scores)
@@ -117,7 +116,7 @@ class TestPredictStream:
         assert stats.sc_evaluations == 0
 
     def test_empty_stream(self, gate_model):
-        decisions, stats = predict_stream(gate_model, [])
+        decisions, stats = predict_stream(gate_model, np.empty((0, 2)))
         assert decisions == [] and stats.total == 0
 
     def test_counts_reconcile(self, gate_model):
@@ -132,11 +131,6 @@ class TestPredictStream:
         assert recount[KNOWN] == sum(stats.known.values())
         assert recount[EMERGING] == stats.emerging
         assert stats.sc_evaluations == 500 - stats.majority
-
-    def test_item_error_carries_index(self, gate_model):
-        stream = [np.ones(2), np.ones(2), np.ones(5)]
-        with pytest.raises(ModelDocumentError, match="item 2"):
-            predict_stream(gate_model, stream)
 
 
 def assert_same_routing(got, want):
@@ -205,11 +199,12 @@ class TestBatchedRouting:
         assert_same_routing(got, want)
         assert got_stats == want_stats
         # routing must not depend on where the stream is cut into chunks
-        stats = StreamStats()
-        assert_same_routing(predict_batch(model, X[:cut], stats)
-                            + predict_batch(model, X[cut:], stats), want)
+        head, stats = predict_stream(model, X[:cut])
+        tail, tail_stats = predict_stream(model, X[cut:])
+        stats.merge(tail_stats)
+        assert_same_routing(head + tail, want)
         assert stats == want_stats
-        assert_same_routing([predict(model, x) for x in X], want)
+        assert_same_routing([predict_stream(model, X[i:i + 1])[0][0] for i in range(len(X))], want)
 
     @pytest.mark.parametrize("case", sorted(EDGE_CASES))
     def test_edge_cases_match_per_item_loop(self, case):
@@ -278,6 +273,18 @@ class TestModelDocument:
             setattr(gate_model, name, value)
         assert gate_model.vocab is None and gate_model.d == 2
 
+    def test_built_representation_is_read_only(self, tmp_path):
+        representation = {"kind": "raw", "d": 2}
+        doc = make_model(w0=[1.0, 0.0], b0=0.0, W=[[0.0, 1.0]], b=[0.0], thresholds=[0.0],
+                         representation=representation)
+        with pytest.raises(TypeError):
+            doc.representation["d"] = 5
+        representation["d"] = 5                 # the document holds its own copy
+        assert dataclasses.replace(doc).representation == {"kind": "raw", "d": 2}
+        f = tmp_path / "model.json"
+        save(doc, f)
+        assert load(f).representation == {"kind": "raw", "d": 2}
+
     def test_featurize_records(self):
         vocab = build_vocab(["flood water flood", "fire smoke", "calm day"])
         model = make_model(w0=np.zeros(vocab.d), b0=0.0,
@@ -339,15 +346,13 @@ class TestModelDocument:
 
 # each way a caller's input can miss the d = 2 of gate_model, and the exact message
 INPUT_RULES = {
-    "predict 0-d": (lambda m: predict(m, np.float64(1.0)), "input dimension () != (2,)"),
-    "predict length 3": (lambda m: predict(m, np.ones(3)), "input dimension (3,) != (2,)"),
-    "predict (1, 2)": (lambda m: predict(m, np.ones((1, 2))), "input dimension (1, 2) != (2,)"),
-    "predict (2, 2)": (lambda m: predict(m, np.ones((2, 2))), "input dimension (2, 2) != (2,)"),
-    "predict list": (lambda m: predict(m, [1.0]), "input dimension (1,) != (2,)"),
+    "predict 0-d": (lambda m: predict_stream(m, [np.float64(1.0)]), "input dimension () != (2,)"),
+    "predict length 3": (lambda m: predict_stream(m, [np.ones(3)]), "input dimension (3,) != (2,)"),
+    "predict (1, 2)": (lambda m: predict_stream(m, [np.ones((1, 2))]), "input dimension (1, 2) != (2,)"),
+    "predict (2, 2)": (lambda m: predict_stream(m, [np.ones((2, 2))]), "input dimension (2, 2) != (2,)"),
+    "predict list": (lambda m: predict_stream(m, [[1.0]]), "input dimension (1,) != (2,)"),
     "stream (4, 3)": (lambda m: predict_stream(m, np.ones((4, 3))), "input dimension (3,) != (2,)"),
-    "stream 1-D": (lambda m: predict_stream(m, np.ones(2)), "item 0: input dimension () != (2,)"),
-    "stream item 1": (lambda m: predict_stream(m, [np.ones(2), np.ones(3)]),
-                      "item 1: input dimension (3,) != (2,)"),
+    "stream 1-D": (lambda m: predict_stream(m, np.ones(2)), "input dimension () != (2,)"),
     "featurize width 3": (lambda m: m.featurize([{"features": [1, 2, 3]}]),
                           "feature dimension 3 != model d 2"),
     "featurize text": (lambda m: m.featurize([{"text": "hello"}]),
@@ -361,7 +366,7 @@ def test_input_rule_messages(gate_model, case):
     with pytest.raises(ModelDocumentError) as info:
         call(gate_model)
     assert str(info.value) == message
-    assert predict_stream(gate_model, [])[0] == []
+    assert predict_stream(gate_model, np.empty((0, 2)))[0] == []
     assert gate_model.featurize([]).shape == (0, 2)
 
 
