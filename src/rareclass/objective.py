@@ -14,14 +14,6 @@ class ObjectiveError(NumericError, ValueError):
     pass
 
 
-class StaleCacheError(ObjectiveError):
-    """Gram cache fingerprint does not match the feature matrix."""
-
-
-# Counts squared-Gram constructions; tests assert one build per training run.
-GRAM_BUILD_COUNT = 0
-
-
 class ModelParams:
     """The GC and the K SCs as one (K+1) x (d+1) array ``theta``: row 0 is
     (w0, b0), row k is (w_k, b_k). Its row-major ravel is the flat layout
@@ -105,13 +97,11 @@ class GramCache:
 
     def check(self, X: np.ndarray) -> None:
         if self.fingerprint != _fingerprint(X):
-            raise StaleCacheError("gram cache does not match the feature matrix")
+            raise ObjectiveError("gram cache does not match the feature matrix")
 
 
 def gram_squared(X: np.ndarray) -> GramCache:
     """(x_[p]^T x_[q])^2 for all column pairs; O(nd^2), computed once per X."""
-    global GRAM_BUILD_COUNT
-    GRAM_BUILD_COUNT += 1
     X = np.asarray(X, dtype=np.float64)
     G = X.T @ X
     return GramCache(g2=G * G, fingerprint=_fingerprint(X))

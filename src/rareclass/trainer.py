@@ -10,13 +10,18 @@ import numpy as np
 
 from .errors import NumericError, UsageError
 from .objective import (
-    BoundData, GramCache, Hyperparams, ModelParams, ObjectiveError, _grad, _loss,
-    gram_squared,
+    BoundData, GramCache, Hyperparams, ModelParams, _grad, _loss, gram_squared,
 )
+
+MAX_RESTARTS = 30    # how often a default step that runs away is halved and the fit restarted
 
 
 class DivergenceError(NumericError, RuntimeError):
-    """Loss exploded past the divergence guard, or is not finite."""
+    """A fit that ran away: a parameter or the loss went non-finite, or the loss passed
+    the divergence guard. `fit` raises it as (message, the 0-based iteration it stopped at)."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
 
 
 class BatchSizeError(UsageError):
@@ -49,7 +54,8 @@ class TrainedModel:
     loss_trace: list[float]
     converged: bool
     iters_run: int
-    gram: GramCache | None = None
+    step: float                      # the first step of the attempt that trained
+    restarts: int
     iterates: list[ModelParams] | None = None
 
 
@@ -80,16 +86,30 @@ def fit(data: BoundData, hp: Hyperparams, cfg: TrainConfig,
     given, and reused every iteration. Returns
     the best-recorded iterate, since subgradient steps are not monotone. With
     cfg.batch set, hinge subgradients are estimated from seeded random batches
-    (scaled back to full sums); the penalty terms stay exact.
+    (scaled back to full sums); the penalty terms stay exact. A default step that
+    runs away is halved and the fit restarted from zero, up to MAX_RESTARTS times.
     """
+    if cfg.batch is not None and not 1 <= cfg.batch <= data.n:
+        raise BatchSizeError(f"batch size {cfg.batch} outside 1..{data.n}")
     if gram is None:
         gram = gram_squared(data.X)
     else:
         gram.check(data.X)
-    step0 = cfg.step_size if cfg.step_size is not None else default_step_size(hp, gram)
+    step = cfg.step_size if cfg.step_size is not None else default_step_size(hp, gram)
+    for restarts in range(MAX_RESTARTS + 1):
+        try:
+            return _descend(data, hp, gram.g2, cfg, step, restarts)
+        except DivergenceError as exc:
+            if cfg.step_size is not None or restarts == MAX_RESTARTS:
+                raise
+            print(f"restart step={step:.6g} iter={exc.args[1]} next_step={step / 2:.6g}", file=sys.stderr)
+            step /= 2
+
+
+def _descend(data: BoundData, hp: Hyperparams, g2: np.ndarray, cfg: TrainConfig,
+             step0: float, restarts: int) -> TrainedModel:
+    """One attempt of `fit` from zero parameters, with first step step0."""
     m = cfg.batch
-    if m is not None and not 1 <= m <= data.n:
-        raise BatchSizeError(f"batch size {m} outside 1..{data.n}")
     # only a minibatch fit samples, so a full-batch one never loads numpy.random
     rng = None if m is None else np.random.default_rng(cfg.seed)
 
@@ -107,22 +127,22 @@ def fit(data: BoundData, hp: Hyperparams, cfg: TrainConfig,
     for it in range(cfg.max_iters):
         eta = step0 / np.sqrt(1.0 + it)
         rows = full if m is None else _batch_view(data, rng, m, rare_pos)
-        g = _grad(theta + cfg.momentum * velocity, hp, gram.g2, *rows)
+        g = _grad(theta + cfg.momentum * velocity, hp, g2, *rows)
         velocity = cfg.momentum * velocity - eta * g
         theta = theta + velocity
         if not np.all(np.isfinite(theta)):
-            raise ObjectiveError("non-finite parameter entries")
+            raise DivergenceError("non-finite parameter entries", it)
 
-        loss = _loss(theta, data, hp, gram.g2)
+        loss = _loss(theta, data, hp, g2)
         loss_trace.append(loss)
         if iterates is not None:
             iterates.append(ModelParams.from_flat(theta, d, K))
         if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite loss {loss} at iter {it}")
+            raise DivergenceError(f"non-finite loss {loss} at iter {it}", it)
         initial_loss = max(loss_trace[0], 1e-12)
         if loss > 1e6 * initial_loss:
             raise DivergenceError(
-                f"loss {loss:.3e} exceeded 1e6x initial {initial_loss:.3e} at iter {it}")
+                f"loss {loss:.3e} exceeded 1e6x initial {initial_loss:.3e} at iter {it}", it)
         if loss < best_loss:
             best_loss = loss
             best_theta = theta
@@ -137,5 +157,5 @@ def fit(data: BoundData, hp: Hyperparams, cfg: TrainConfig,
                 break
 
     return TrainedModel(params=ModelParams.from_flat(best_theta, d, K), loss_trace=loss_trace,
-                        converged=converged, iters_run=len(loss_trace), gram=gram, iterates=iterates)
-
+                        converged=converged, iters_run=len(loss_trace), step=step0,
+                        restarts=restarts, iterates=iterates)

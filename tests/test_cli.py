@@ -670,7 +670,7 @@ class TestErrorsAndSeeds:
     def test_non_finite_step_is_numeric_error(self, synth_file, tmp_path, monkeypatch, capsys):
         # an infinite gradient makes the iterate infinite before any loss is computed
         monkeypatch.setattr(trainer, "_grad", lambda theta, *args: np.full_like(theta, np.inf))
-        rc = main(["train", "--input", synth_file, "--rep", "raw", "--iters", "20",
+        rc = main(["train", "--input", synth_file, "--rep", "raw", "--iters", "20", "--step", "0.003",
                    "--out", str(tmp_path / "m.json")])
         assert rc == EXIT_NUMERIC
         assert capsys.readouterr().err == "error: non-finite parameter entries\n"
@@ -828,6 +828,54 @@ class TestErrorsAndSeeds:
     def test_parser_requires_command(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+class TestDefaultStep:
+    """README's `train` and `evaluate` train text with the default step: a fit whose
+    default step runs away starts again from zero at half the step."""
+
+    @pytest.fixture(params=[5, 7], ids=["d5", "d7"])
+    def corpus_file(self, request, tmp_path):
+        f = tmp_path / "corpus.jsonl"
+        save_corpus(text_feature_corpus(d=request.param), f)
+        return str(f)
+
+    RESTART = re.compile(r"^restart step=\S+ iter=\d+ next_step=\S+$", re.M)
+
+    def test_readme_train(self, corpus_file, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        rc = main(["train", "--input", corpus_file, "--rep", "tfidf1k", "--mu", "1",
+                   "--reject", "evt", "--out", str(out)])
+        assert rc == EXIT_OK and load(str(out)).representation["kind"] == "tfidf"
+        assert self.RESTART.search(capsys.readouterr().err)
+
+    def test_readme_evaluate(self, corpus_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        rc = main(["evaluate", "--input", corpus_file, "--reps", "5", "--seed", "0",
+                   "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert rc == EXIT_OK and len(report["per_seed"]) == 5 and report["errors"] == []
+        assert self.RESTART.search(capsys.readouterr().err)
+
+    def test_explicit_step_that_runs_away_is_exit_3_without_restart(self, corpus_file,
+                                                                     tmp_path, capsys):
+        out = tmp_path / "model.json"
+        rc = main(["train", "--input", corpus_file, "--step", "1e9", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_NUMERIC and not out.exists()
+        assert err.startswith("error: ") and "restart" not in err
+
+    def test_gives_up_after_the_last_halving(self, synth_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(trainer, "_grad", lambda theta, *args: np.full_like(theta, np.inf))
+        out = tmp_path / "m.json"
+        rc = main(["train", "--input", synth_file, "--rep", "raw", "--iters", "20",
+                   "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == EXIT_NUMERIC and not out.exists()
+        assert len(lines) == trainer.MAX_RESTARTS + 1 == 31
+        assert all(re.fullmatch(r"restart step=\S+ iter=0 next_step=\S+", line)
+                   for line in lines[:-1])
+        assert lines[-1] == "error: non-finite parameter entries"
 
 
 class TestNonUtf8Input:

@@ -15,7 +15,7 @@ from rareclass.dataset import CorpusError
 from rareclass.errors import DataError, NumericError, UsageError
 from rareclass.evaluation import EvalError
 from rareclass.featurize import FeaturizeError
-from rareclass.objective import ObjectiveError, StaleCacheError
+from rareclass.objective import ObjectiveError
 from rareclass.pool import WorkerDied
 from rareclass.recognizer import ModelDocumentError
 from rareclass.rejection import RejectionError
@@ -32,8 +32,7 @@ EXIT_CODES = {
     DataError: EXIT_DATA, CorpusError: EXIT_DATA, FeaturizeError: EXIT_DATA,
     RejectionError: EXIT_DATA, ModelDocumentError: EXIT_DATA, EvalError: EXIT_DATA,
     CoverageError: EXIT_DATA,
-    NumericError: EXIT_NUMERIC, ObjectiveError: EXIT_NUMERIC, StaleCacheError: EXIT_NUMERIC,
-    DivergenceError: EXIT_NUMERIC,
+    NumericError: EXIT_NUMERIC, ObjectiveError: EXIT_NUMERIC, DivergenceError: EXIT_NUMERIC,
     WorkerDied: EXIT_WORKER,
 }
 

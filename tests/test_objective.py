@@ -3,9 +3,9 @@ import pytest
 
 from conftest import joint_grad_flat, make_instance, numeric_grad, params_off_kink
 from rareclass.objective import (
-    BoundData, GramCache, Hyperparams, ModelParams, ObjectiveError, StaleCacheError,
-    _grad, bind_data, grad_bias, grad_w0, grad_wk, gram_squared, hinge, identity_gram,
-    penalty_hessian, penalty_only, total_loss,
+    BoundData, GramCache, Hyperparams, ModelParams, ObjectiveError, _grad, bind_data,
+    grad_bias, grad_w0, grad_wk, gram_squared, hinge, identity_gram, penalty_hessian,
+    penalty_only, total_loss,
 )
 
 
@@ -55,7 +55,7 @@ class TestGramSquared:
         data = make_instance(rng)
         gram = gram_squared(data.X + 1.0)
         p = ModelParams.zeros(data.d, data.K)
-        with pytest.raises(StaleCacheError):
+        with pytest.raises(ObjectiveError, match="gram cache does not match"):
             total_loss(p, data, Hyperparams.uniform(data.K), gram)
 
 
@@ -389,11 +389,13 @@ class TestIdentityGram:
 
 
 class TestGramReuse:
-    def test_one_build_per_fit(self):
-        import rareclass.objective as obj
+    def test_one_build_per_fit(self, monkeypatch):
+        import rareclass.trainer as trainer
         from rareclass.trainer import TrainConfig, fit
         rng = np.random.default_rng(22)
         data = make_instance(rng, n=20, d=5, K=2)
-        before = obj.GRAM_BUILD_COUNT
+        builds = []
+        build = trainer.gram_squared
+        monkeypatch.setattr(trainer, "gram_squared", lambda X: builds.append(1) or build(X))
         fit(data, Hyperparams.uniform(2), TrainConfig(max_iters=30))
-        assert obj.GRAM_BUILD_COUNT == before + 1
+        assert len(builds) == 1

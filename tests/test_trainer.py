@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,12 @@ from conftest import (
 )
 from rareclass.dataset import RARE, SyntheticConfig, gen_synthetic
 from rareclass.objective import (
-    BoundData, GramCache, Hyperparams, ModelParams, StaleCacheError, _grad, bind_data,
+    BoundData, GramCache, Hyperparams, ModelParams, ObjectiveError, _grad, bind_data,
     gram_squared, hinge, penalty_only, total_loss,
 )
-from rareclass.trainer import DivergenceError, TrainConfig, _batch_view, fit
+from rareclass.trainer import (
+    MAX_RESTARTS, BatchSizeError, DivergenceError, TrainConfig, _batch_view, default_step_size, fit,
+)
 
 
 def synthetic_bound_data(seed=0, d=2, K=2, per=20, majority=40, sep=8.0, noise=0.5):
@@ -77,7 +81,7 @@ class TestFit:
         assert len(model.loss_trace) == model.iters_run
         assert model.iters_run <= 50
         assert np.all(np.isfinite(model.loss_trace))
-        assert min(model.loss_trace) == total_loss(model.params, data, hp, model.gram)
+        assert min(model.loss_trace) == total_loss(model.params, data, hp, gram_squared(data.X))
 
     def test_divergence_guard(self):
         data = synthetic_bound_data(seed=6)
@@ -97,8 +101,10 @@ class TestFit:
             return float("nan") if len(calls) > at else real_loss(*args)
         monkeypatch.setattr(trainer_module, "_loss", loss)
         data = synthetic_bound_data(seed=6)
+        hp = Hyperparams.uniform(2)
         with pytest.raises(DivergenceError, match=f"non-finite loss nan at iter {at}"):
-            fit(data, Hyperparams.uniform(2), TrainConfig(max_iters=20, tol=1e-15))
+            fit(data, hp, TrainConfig(max_iters=20, tol=1e-15,
+                                      step_size=default_step_size(hp, gram_squared(data.X))))
 
     def test_progress_lines(self, capsys):
         data = synthetic_bound_data(seed=7)
@@ -147,14 +153,24 @@ class TestMinibatch:
                                          step_size=0.01))
         mini = fit(data, hp, TrainConfig(max_iters=400, seed=12,
                                          tol=1e-15, step_size=0.01, batch=32))
-        l_full = total_loss(full.params, data, hp, full.gram)
-        l_mini = total_loss(mini.params, data, hp, full.gram)
+        l_full = total_loss(full.params, data, hp, gram_squared(data.X))
+        l_mini = total_loss(mini.params, data, hp, gram_squared(data.X))
         assert l_mini <= 1.25 * l_full
 
     def test_bad_batch_size(self):
         data = synthetic_bound_data(seed=11)
         with pytest.raises(ValueError):
             fit(data, Hyperparams.uniform(2), TrainConfig(batch=0))
+
+    def test_batch_size_checked_before_the_gram(self, monkeypatch):
+        import rareclass.trainer as trainer_module
+        data = synthetic_bound_data(seed=11)
+        builds = []
+        build = trainer_module.gram_squared
+        monkeypatch.setattr(trainer_module, "gram_squared", lambda X: builds.append(1) or build(X))
+        with pytest.raises(BatchSizeError):
+            fit(data, Hyperparams.uniform(2), TrainConfig(batch=data.n + 1))
+        assert builds == []
 
 
 def hinge_only_grad(p, data):
@@ -247,9 +263,60 @@ class TestCacheCheck:
 
     def test_stale_cache_rejected_before_training(self):
         data = synthetic_bound_data(seed=13)
-        with pytest.raises(StaleCacheError):
+        with pytest.raises(ObjectiveError, match="gram cache does not match"):
             fit(data, Hyperparams.uniform(2), TrainConfig(max_iters=5),
                 gram=gram_squared(data.X + 1.0))
+
+
+def small_feature_data(seed):
+    """synthetic_bound_data scaled to tf-idf-sized entries, on which the default step runs away."""
+    data = synthetic_bound_data(seed=seed, d=5)
+    X = 0.3 * data.X / np.abs(data.X).max()
+    return BoundData(X=X, y_all=data.y_all, R=X[data.y_all > 0], Yk=data.Yk)
+
+
+class TestRestarts:
+    def test_first_attempt_that_trains_keeps_the_default_step(self, capsys):
+        data = synthetic_bound_data(seed=1)
+        hp = Hyperparams.uniform(2)
+        model = fit(data, hp, TrainConfig(max_iters=30))
+        assert model.restarts == 0
+        assert model.step == default_step_size(hp, gram_squared(data.X))
+        assert "restart" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("batch", [None, 16])
+    def test_runaway_default_step_restarts_from_zero_at_half(self, capsys, batch):
+        data = small_feature_data(seed=0)
+        hp = Hyperparams.uniform(2)
+        cfg = TrainConfig(max_iters=50, tol=1e-15, seed=3, batch=batch)
+        model = fit(data, hp, cfg)
+        step0 = default_step_size(hp, gram_squared(data.X))
+        assert model.restarts >= 1 and model.step == step0 / 2 ** model.restarts
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == model.restarts
+        assert re.fullmatch(rf"restart step={step0:.6g} iter=\d+ next_step={step0 / 2:.6g}", lines[0])
+        # the attempt that trained is the fit an explicit step of that size makes, bit for bit
+        again = fit(data, hp, TrainConfig(max_iters=50, tol=1e-15, seed=3, batch=batch,
+                                          step_size=model.step))
+        assert again.restarts == 0 and again.loss_trace == model.loss_trace
+        assert np.array_equal(again.params.flat(), model.params.flat())
+
+    def test_explicit_step_never_restarts(self, capsys):
+        data = small_feature_data(seed=0)
+        hp = Hyperparams.uniform(2)
+        step = default_step_size(hp, gram_squared(data.X))
+        with pytest.raises(DivergenceError, match="exceeded 1e6x initial"):
+            fit(data, hp, TrainConfig(max_iters=50, tol=1e-15, step_size=step))
+        assert capsys.readouterr().err == ""
+
+    def test_gives_up_after_the_last_halving(self, monkeypatch, capsys):
+        import rareclass.trainer as trainer_module
+        monkeypatch.setattr(trainer_module, "_loss", lambda *args: float("nan"))
+        data = synthetic_bound_data(seed=2)
+        with pytest.raises(DivergenceError, match="non-finite loss nan at iter 0"):
+            fit(data, Hyperparams.uniform(2), TrainConfig(max_iters=20))
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == MAX_RESTARTS and all(line.startswith("restart ") for line in lines)
 
 
 class TestConfigValidation:
